@@ -11,25 +11,18 @@ from dataclasses import dataclass
 from math import factorial, isqrt
 
 from .errors import InvalidOrder, NotPrimePower
+from .gf import prime_factors
 
 
 def prime_power_decomposition(q):
     """(p, e) with q = p^e, or NotPrimePower."""
-    if q < 2:
+    primes = prime_factors(q)
+    if len(primes) != 1:
         raise NotPrimePower(f"{q} is not a prime power")
-    d = 2
-    n = q
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if n != 1:
-                raise NotPrimePower(f"{q} is not a prime power")
-            return d, e
-        d += 1
-    return q, 1  # q itself is prime
+    p, e = primes[0], 1
+    while p**e < q:
+        e += 1
+    return p, e
 
 
 def is_prime_power(q):

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .config import Config, DEFAULT_CONFIG
@@ -22,6 +23,7 @@ from .errors import (
     ExcCoverError,
     NotTransitive,
     ParseError,
+    PreconditionFailed,
     UnknownSymbol,
 )
 from .gf import make_field
@@ -50,13 +52,13 @@ from .groups import (
     exceptionality_conditions,
     fixed_point_identity,
 )
-from .bounds import prime_power_decomposition, threshold_report
+from .bounds import applicability, prime_power_decomposition, threshold_report
 
 
 # ---------------------------------------------------------------------------
 # Polynomial grammar.
 #
-#   expr  := term (('+'|'-') term)*
+#   expr  := ('+'|'-')? term (('+'|'-') term)*
 #   term  := coeff '*'? ('x' ('^' nat)?)? | 'x' ('^' nat)?
 #   coeff := nat | 'g' ('^' nat)?
 #
@@ -183,8 +185,10 @@ def _coeff_str(c, gen_pows):
     return f"g^{gen_pows[c]}"
 
 
+@lru_cache(maxsize=8)
 def _gen_powers(field):
-    """Discrete-log table for the printer of non-prime-field coefficients."""
+    """Discrete-log table for the printer of non-prime-field coefficients,
+    built once per field (the printer only reads it)."""
     g = field.multiplicative_generator()
     table = {}
     acc = field.one()
@@ -377,6 +381,9 @@ def cmd_analyze(args, config):
     num = parse_poly(args.num, field)
     den = parse_poly(args.den, field)
     f = RationalMap(num, den)
+    if f.degree < 2:
+        raise PreconditionFailed(
+            f"analyze needs a map of degree >= 2; this map has degree {f.degree}")
     q = field.order
 
     sweep = _parse_m_list(args.m, (1, 2, 3))
@@ -447,19 +454,20 @@ def cmd_analyze(args, config):
             _census_comparison_json(c, prediction) for c in censuses
         ]
 
+    rmap = results["map"]
     lines = [
-        f"map: ({poly_to_str(f.num)})/({poly_to_str(f.den)}) over {field!r}",
+        f"map: ({rmap['numerator']})/({rmap['denominator']}) over {field!r}",
         f"degree: {f.degree}",
         f"exceptional: {report.exceptional} "
         f"(component definition lcm k = {report.component_definition_lcm})",
         "factors:",
     ]
-    for row in report.factors:
+    for row in results["exceptionality"]["factors"]:
         lines.append(
-            f"  {bpoly_to_str(row.poly)}  mult={row.multiplicity} "
-            f"components={row.components} "
-            f"absolutely_irreducible={row.absolutely_irreducible} "
-            f"affine_points={row.affine_points}")
+            f"  {row['polynomial']}  mult={row['multiplicity']} "
+            f"components={row['components']} "
+            f"absolutely_irreducible={row['absolutely_irreducible']} "
+            f"affine_points={row['affine_points']}")
     for a in audits:
         lines.append(
             f"audit m={a.m}: injective={a.injective} surjective={a.surjective} "
@@ -497,8 +505,6 @@ def _threshold_json(rep, q=None):
         "ramification_bound": rep.ramification_bound,
     }
     if q is not None:
-        from .bounds import applicability
-
         ap = applicability(rep.n, rep.g_x, q)
         out["at_q"] = {
             "q": q,
@@ -562,7 +568,7 @@ def cmd_superelliptic(args, config):
         f"deg h = {cover.h.degree}",
         f"genus: {cover.genus} (family formula value {formula_genus})",
         f"totally ramified over infinity: "
-        f"{totally_ramified_at_infinity(cover)}",
+        f"{results['cover']['totally_ramified_at_infinity']}",
     ]
     for audit in audits:
         lines.append(
@@ -581,6 +587,7 @@ def cmd_groups(args, config):
     spec = load_group_spec(args.spec, config)
     lhs_p, rhs_p = fixed_point_identity(spec, "points")
     lhs_q, rhs_q = fixed_point_identity(spec, "ordered_pairs")
+    hist = cycle_type_histogram(spec)
     results = {
         "degree": spec.ambient.deg,
         "ambient_order": spec.ambient.order,
@@ -595,7 +602,7 @@ def cmd_groups(args, config):
         },
         "cycle_type_histogram": [
             {"type": list(t), "frequency": frac_json(fr)}
-            for t, fr in cycle_type_histogram(spec).items()
+            for t, fr in hist.items()
         ],
     }
     try:
@@ -619,8 +626,7 @@ def cmd_groups(args, config):
         f"({'ok' if lhs_q == rhs_q else 'VIOLATED'})",
         f"conditions: {results['conditions']}",
         "cycle types: " + ", ".join(
-            f"{list(t)}: {frac_json(fr)}"
-            for t, fr in cycle_type_histogram(spec).items()),
+            f"{list(t)}: {frac_json(fr)}" for t, fr in hist.items()),
     ]
     return results, lines
 

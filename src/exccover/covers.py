@@ -382,7 +382,7 @@ def make_superelliptic(n, gamma, h):
     return SuperellipticCover(n, gamma, h, superelliptic_genus(n, h))
 
 
-def points_over_infinity(cover, field_order_unused=None):
+def points_over_infinity(cover):
     """Number of rational points of the smooth model above x = infinity.
 
     There are gcd(n, deg h) places above infinity, each of ramification

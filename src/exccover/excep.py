@@ -9,6 +9,7 @@ check the intersection and point-count facts the verdict relies on.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
@@ -87,22 +88,6 @@ def _diagonal_canonical(field):
                          UPoly.one(field)])
 
 
-def _affine_zero_count(G, config):
-    q = G.field.order
-    if q * q > config.enumeration_cap:
-        return None
-    count = 0
-    for x0 in G.field.elements():
-        slice_y = G.substitute_x(x0)
-        if slice_y.is_zero():
-            count += q
-            continue
-        for y0 in G.field.elements():
-            if slice_y.evaluate(y0).is_zero():
-                count += 1
-    return count
-
-
 def decide_exceptional(f, config=DEFAULT_CONFIG):
     """Factor the nondiagonal fiber product and classify each factor."""
     phi = fiber_product_poly(f)
@@ -117,7 +102,7 @@ def decide_exceptional(f, config=DEFAULT_CONFIG):
             components=c,
             absolutely_irreducible=(c == 1),
             field_of_definition_degree=c,
-            affine_points=_affine_zero_count(G, config),
+            affine_points=_affine_points(G, config),
         ))
     exceptional = all(not row.absolutely_irreducible for row in rows)
     k = lcm(*(row.components for row in rows)) if rows else 1
@@ -131,10 +116,39 @@ def decide_exceptional(f, config=DEFAULT_CONFIG):
     )
 
 
-def _proj_points(field):
-    out = [ProjPoint.finite(x) for x in field.elements()]
-    out.append(INFINITY)
+def factor_points(G):
+    """Rational points (P, Q) of the closure of G = 0 in the product of
+    two projective lines, in P-then-Q scan order.
+
+    G is sliced once per line x = P: a finite P substitutes x, and
+    P = infinity keeps the x-leading coefficients.  A finite Q is a
+    root of the slice; Q = infinity is on the curve when the slice's
+    y^deg_y coefficient vanishes.
+    """
+    fld, dx, dy = G.field, G.deg_x, G.deg_y
+    pts = [ProjPoint.finite(x) for x in fld.elements()] + [INFINITY]
+    out = []
+    for P in pts:
+        if P.is_infinity:
+            slice_y = UPoly(fld, [c.coefficient(dx) for c in G.ycoeffs])
+        else:
+            slice_y = G.substitute_x(P.x)
+        for Q in pts:
+            value = (slice_y.coefficient(dy) if Q.is_infinity
+                     else slice_y.evaluate(Q.x))
+            if value.is_zero():
+                out.append((P, Q))
     return out
+
+
+def _affine_points(G, config):
+    """How many points of G = 0 are finite in both coordinates, or None
+    when q^2 exceeds the enumeration cap."""
+    q = G.field.order
+    if q * q > config.enumeration_cap:
+        return None
+    return sum(1 for P, Q in factor_points(G)
+               if not (P.is_infinity or Q.is_infinity))
 
 
 def is_ramified_at(f, point):
@@ -156,35 +170,21 @@ def validate_intersection_property(report, config=DEFAULT_CONFIG):
     """Every rational point on two distinct factors (or on a factor and
     the diagonal) must have the map ramified at both coordinates.
 
-    Returns the list of violations; the structural contract is that it
-    is empty.
+    Returns the list of violations, in P-then-Q scan order; the
+    structural contract is that it is empty.
     """
     f = report.map
     q = f.field.order
     if (q + 1) ** 2 > config.enumeration_cap:
         raise CapExceeded("point scan of the fiber product is infeasible")
-    pts = _proj_points(f.field)
+    on = Counter(pq for row in report.factors for pq in factor_points(row.poly))
     violations = []
-    for P in pts:
-        for Q in pts:
-            on = [row.poly for row in report.factors
-                  if row.poly.eval_proj(P, Q).is_zero()]
-            if not on:
-                continue
-            meets_several = len(on) >= 2 or P == Q
-            if not meets_several:
-                continue
-            if not (is_ramified_at(f, P) and is_ramified_at(f, Q)):
-                violations.append(Violation(
-                    (P, Q), "intersection point with an unramified coordinate"))
+    for P, Q in sorted(on, key=lambda pq: (pq[0].sort_key(), pq[1].sort_key())):
+        meets_several = on[P, Q] >= 2 or P == Q
+        if meets_several and not (is_ramified_at(f, P) and is_ramified_at(f, Q)):
+            violations.append(Violation(
+                (P, Q), "intersection point with an unramified coordinate"))
     return violations
-
-
-def count_factor_points(G, field):
-    """Rational points of the closure of G = 0 in the product of two
-    projective lines, counted over all four affine charts."""
-    pts = _proj_points(field)
-    return sum(1 for P in pts for Q in pts if G.eval_proj(P, Q).is_zero())
 
 
 def validate_diagonal_bound(report, audit, config=DEFAULT_CONFIG):
@@ -202,7 +202,7 @@ def validate_diagonal_bound(report, audit, config=DEFAULT_CONFIG):
     for row in report.factors:
         if row.poly == diag:
             continue
-        count = count_factor_points(row.poly, f.field)
+        count = len(factor_points(row.poly))
         if count > bound:
             violations.append(Violation(
                 (row.poly,), f"{count} rational points exceed the bound {bound}"))

@@ -318,11 +318,15 @@ class Fel:
         if isinstance(other, Fel):
             return self.field == other.field and self.coeffs == other.coeffs
         if isinstance(other, int):
-            return self == self.field.element(other)
+            # only residues 0 <= n < p, so that equal objects hash alike
+            return 0 <= other < self.field.p and self == self.field.element(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.modulus))
+        # An element of the prime subfield hashes like the equal int; the
+        # residues are nonnegative, so that is when sum(cs) == cs[0].
+        cs = self.coeffs
+        return hash(cs[0]) if sum(cs) == cs[0] else hash(cs)
 
     def __repr__(self):
         if self.field.k == 1:

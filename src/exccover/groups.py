@@ -149,14 +149,6 @@ class PermGroup:
         self.elements = frozenset(elements)
 
     @classmethod
-    def from_elements(cls, deg, elements):
-        out = object.__new__(cls)
-        out.deg = deg
-        out.generators = tuple(sorted(elements, key=lambda p: p.images))
-        out.elements = frozenset(elements)
-        return out
-
-    @classmethod
     def symmetric(cls, deg, config=DEFAULT_CONFIG):
         if deg == 1:
             return cls(1, ())
@@ -361,7 +353,7 @@ def all_subgroups_symmetric(n):
     conjugacy), generated internally by closure of element subsets."""
     sym = PermGroup.symmetric(n)
     all_elements = sorted(sym.elements, key=lambda p: p.images)
-    trivial = PermGroup.from_elements(n, {Perm.identity(n)})
+    trivial = PermGroup(n, ())
     known = {trivial.elements: trivial}
     frontier = [trivial]
     while frontier:

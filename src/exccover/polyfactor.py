@@ -22,7 +22,7 @@ from .errors import (
     MixedFields,
     NotSquarefree,
 )
-from .gf import Fel, Field, extension
+from .gf import Fel, Field, extension, prime_factors
 
 
 class UPoly:
@@ -485,8 +485,6 @@ def is_irreducible(f):
     x = UPoly.x(fld)
     xq = pow_mod(x, fld.order, f)
     # x^(Q^n) must reduce to x, and no proper Frobenius power may share a factor
-    from .gf import prime_factors
-
     powers = {1: xq}
     h = xq
     for i in range(2, n + 1):

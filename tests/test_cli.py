@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -135,6 +136,65 @@ def test_analyze_byte_identical_json(capsys):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of the --json output of fixed invocations.  The report bytes
+# are the behaviour contract, so a digest changes only with a deliberate
+# change of the report.
+PINNED_JSON = [
+    # two factor lines meeting at (0, 0)
+    pytest.param(
+        ["analyze", "--p", "7", "--num", "x^3", "--den", "1", "--m", "1"],
+        "da097ebe39e7d1f0e5d2e3cdda9f584b41bd503618af8438a337ae6a0de9a365",
+        id="analyze-cube-f7"),
+    # injective, so the diagonal bound is checked
+    pytest.param(
+        ["analyze", "--p", "5", "--num", "x^3", "--den", "1", "--m", "1,2"],
+        "dba298bf2cc8ea5694c6b60b0fc19e81907115dbea758a1d364847dd018d3374",
+        id="analyze-cube-f5"),
+    pytest.param(
+        ["analyze", "--p", "67", "--num", "x^3+2*x", "--den", "x+5",
+         "--m", "1"],
+        "bd0f9ded7785b6bc7b645b465f47a2c05230a4cea7b0c4c86144a4beca460674",
+        id="analyze-f67"),
+    pytest.param(
+        ["analyze", "--p", "3", "--k", "2", "--num", "x^4+g*x",
+         "--den", "x+g^2", "--m", "1"],
+        "6435986dca0d383f004f98206651c9d033c036bfde58bf1371eb0a01dcfabd6d",
+        id="analyze-f9"),
+    pytest.param(
+        ["superelliptic", "--q", "25", "--n", "3", "--a", "1",
+         "--gamma", "g", "--m", "1"],
+        "5572c0b7e1a3abd79ce70afb24d3dc345097b139262eeae82a9fbc3109386468",
+        id="superelliptic-f25"),
+    pytest.param(
+        ["groups", "--spec", "spec.grp"],
+        "8e0f62c65541d7affba99efa7a0c0ca93025fe6e2edf81498bf7f47ddb6f437b",
+        id="groups-affine-f5"),
+    pytest.param(
+        ["examples"],
+        "0275d4ed9d8a75661b37757034c639d605ae9e4ed38d3022595d4188a902aab2",
+        id="examples"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_JSON)
+def test_json_bytes_pinned(argv, digest, tmp_path, monkeypatch, capsys):
+    # the spec path is echoed in the report, so it is relative and fixed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.grp").write_text(
+        "[deg]\n5\n[A]\n(0 1 2 3 4)\n(1 2 4 3)\n"
+        "[G]\n(0 1 2 3 4)\n[a]\n(1 2 4 3)\n")
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_analyze_rejects_degree_one(capsys):
+    code, out, err = run(capsys, ["analyze", "--p", "7", "--num", "x+3",
+                                  "--den", "1"])
+    assert code == 1 and out == ""
+    assert "degree >= 2" in err and "degree 1" in err
 
 
 def test_analyze_seed_echoed(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -15,8 +16,8 @@ from exccover.covers import (
     mobius_precompose,
 )
 from exccover.excep import (
-    count_factor_points,
     decide_exceptional,
+    factor_points,
     fiber_product_poly,
     is_ramified_at,
     monomial_map,
@@ -256,6 +257,27 @@ def test_intersection_property_examples():
     assert validate_intersection_property(rep17) == []
 
 
+def test_intersection_property_reports_unramified_meetings():
+    # x^3 over F_7 ramifies only at 0 and infinity.  Stand-in factors:
+    # the lines y = 1, x = 2 and x + y = 0.  The last one also passes
+    # through (0, 0) and (infinity, infinity), where the map ramifies,
+    # so those two points raise nothing.
+    F7 = make_field(7)
+    rep = decide_exceptional(monomial_map(F7, 3))
+    lines = (
+        BPoly(F7, [UPoly.constant(F7, -F7.one()), UPoly.one(F7)]),   # y - 1
+        BPoly(F7, [UPoly(F7, (-2, 1))]),                             # x - 2
+        BPoly(F7, [UPoly.x(F7), UPoly.one(F7)]),                     # x + y
+    )
+    rows = tuple(replace(rep.factors[0], poly=G) for G in lines)
+    violations = validate_intersection_property(replace(rep, factors=rows))
+    assert [(P.x.to_int(), Q.x.to_int()) for P, Q in
+            (v.point_pair for v in violations)] == [
+        (1, 1), (2, 1), (2, 2), (2, 5), (6, 1)]
+    assert all(v.detail == "intersection point with an unramified coordinate"
+               for v in violations)
+
+
 def test_is_ramified_at():
     F7 = make_field(7)
     f = monomial_map(F7, 3)
@@ -273,7 +295,7 @@ def test_diagonal_bound_examples():
     assert validate_diagonal_bound(rep, audit) == []
     # the conic factor meets the product line at the origin and at the
     # doubly-infinite point, staying within the bound of 4
-    count = count_factor_points(rep.factors[0].poly, F5)
+    count = len(factor_points(rep.factors[0].poly))
     assert count == 2
     # independent oracle: scan the four charts directly
     pts = 0

@@ -81,6 +81,18 @@ def test_field_value_equality():
     assert make_field(7, 1) != make_field(5, 1)
 
 
+def test_element_int_equality_agrees_with_hash():
+    F13 = make_field(13)
+    three = F13.element(3)
+    assert three == 3 and three != 16 and three != -10
+    assert 3 in {three} and three in {3}
+    assert {3: "x"}[three] == "x"
+    F9 = make_field(3, 2)
+    assert F9.element(2) == 2 and 2 in {F9.element(2)}
+    g = F9.multiplicative_generator()
+    assert not g.in_prime_subfield() and g != g.coeffs[0]
+
+
 def test_arithmetic_examples_f13():
     F13 = make_field(13)
     assert F13.element(8).inverse().to_int() == 5
