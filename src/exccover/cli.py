@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -256,8 +257,7 @@ def parse_cycles(text, deg):
     if not text.startswith("("):
         raise ValueError(f"cycle notation must start with '(': {text!r}")
     cycles = []
-    for chunk in text.replace(")(", ")|(").split("|"):
-        chunk = chunk.strip()
+    for chunk in re.split(r"(?<=\))\s*(?=\()", text):
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise ValueError(f"malformed cycle {chunk!r}")
         body = chunk[1:-1].replace(",", " ").split()

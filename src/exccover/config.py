@@ -6,7 +6,7 @@ Config value.  The default instance keeps runs reproducible; callers
 needing different caps pass their own frozen copy.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,6 @@ class Config:
     bivariate_degree_cap: int = 16
     # Largest permutation group the closure builder will materialize.
     group_cap: int = 100_000
-
-    def with_seed(self, seed):
-        return replace(self, seed=seed)
-
-    def with_enumeration_cap(self, cap):
-        return replace(self, enumeration_cap=cap)
 
 
 DEFAULT_CONFIG = Config()

@@ -10,7 +10,7 @@ from math import gcd
 
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, MixedFields, NotSeparable, WildCase
-from .gf import Embedding, Fel, extension, nth_power_solution_count
+from .gf import Fel, embedding, extension, nth_power_solution_count
 from .polyfactor import (
     UPoly,
     factor_univariate,
@@ -74,7 +74,7 @@ class RationalMap:
     def __init__(self, num, den):
         if not isinstance(num, UPoly) or not isinstance(den, UPoly):
             raise TypeError("RationalMap expects UPoly numerator and denominator")
-        if num.field != den.field:
+        if num.field is not den.field:
             raise MixedFields("numerator and denominator over different fields")
         if den.is_zero():
             raise ValueError("denominator must be nonzero")
@@ -129,8 +129,8 @@ class RationalMap:
 def eval_map(f, point, field=None):
     """Evaluate the map at a projective point, optionally over an
     extension of its base field (coefficients are embedded first)."""
-    if field is not None and field != f.field:
-        f = f.over(Embedding(f.field, field))
+    if field is not None and field is not f.field:
+        f = f.over(embedding(f.field, field))
     if point.is_infinity:
         return INFINITY
     pv = f.num.evaluate(point.x)

@@ -10,7 +10,7 @@ check the intersection and point-count facts the verdict relies on.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from math import lcm
 
 from .config import DEFAULT_CONFIG
@@ -72,6 +72,9 @@ class ExceptionalityReport:
     ``component_definition_lcm`` is the least common multiple of the
     factors' fields of definition; it is a report field only, used to
     schedule which extension degrees keep the verdict meaningful.
+    ``point_memo`` maps a factor polynomial to its ``factor_points``;
+    it is keyed by value, so a report or row copied with another
+    polynomial never reads stale points.
     """
 
     map: RationalMap
@@ -80,6 +83,14 @@ class ExceptionalityReport:
     exceptional: bool
     component_definition_lcm: int
     diagonal_recurrence: bool
+    point_memo: dict = dataclass_field(default_factory=dict, repr=False,
+                                       compare=False)
+
+    def points(self, G):
+        """``factor_points(G)``, enumerated at most once per report."""
+        if G not in self.point_memo:
+            self.point_memo[G] = factor_points(G)
+        return self.point_memo[G]
 
 
 def _diagonal_canonical(field):
@@ -93,16 +104,24 @@ def decide_exceptional(f, config=DEFAULT_CONFIG):
     phi = fiber_product_poly(f)
     cert = factor_bivariate(phi, config)
     diag = _diagonal_canonical(f.field)
+    # affine counts only while q^2 stays within the enumeration cap
+    scan = f.field.order ** 2 <= config.enumeration_cap
+    memo = {}
     rows = []
     for G, mult in cert.factors:
         c = absolute_component_count(G, config)
+        affine = None
+        if scan:
+            memo[G] = factor_points(G)
+            affine = sum(1 for P, Q in memo[G]
+                         if not (P.is_infinity or Q.is_infinity))
         rows.append(FactorClassification(
             poly=G,
             multiplicity=mult,
             components=c,
             absolutely_irreducible=(c == 1),
             field_of_definition_degree=c,
-            affine_points=_affine_points(G, config),
+            affine_points=affine,
         ))
     exceptional = all(not row.absolutely_irreducible for row in rows)
     k = lcm(*(row.components for row in rows)) if rows else 1
@@ -113,6 +132,7 @@ def decide_exceptional(f, config=DEFAULT_CONFIG):
         exceptional=exceptional,
         component_definition_lcm=k,
         diagonal_recurrence=any(row.poly == diag for row in rows),
+        point_memo=memo,
     )
 
 
@@ -141,16 +161,6 @@ def factor_points(G):
     return out
 
 
-def _affine_points(G, config):
-    """How many points of G = 0 are finite in both coordinates, or None
-    when q^2 exceeds the enumeration cap."""
-    q = G.field.order
-    if q * q > config.enumeration_cap:
-        return None
-    return sum(1 for P, Q in factor_points(G)
-               if not (P.is_infinity or Q.is_infinity))
-
-
 def is_ramified_at(f, point):
     """Whether the map ramifies at a point of its source line."""
     if point.is_infinity:
@@ -177,7 +187,7 @@ def validate_intersection_property(report, config=DEFAULT_CONFIG):
     q = f.field.order
     if (q + 1) ** 2 > config.enumeration_cap:
         raise CapExceeded("point scan of the fiber product is infeasible")
-    on = Counter(pq for row in report.factors for pq in factor_points(row.poly))
+    on = Counter(pq for row in report.factors for pq in report.points(row.poly))
     violations = []
     for P, Q in sorted(on, key=lambda pq: (pq[0].sort_key(), pq[1].sort_key())):
         meets_several = on[P, Q] >= 2 or P == Q
@@ -202,7 +212,7 @@ def validate_diagonal_bound(report, audit, config=DEFAULT_CONFIG):
     for row in report.factors:
         if row.poly == diag:
             continue
-        count = len(factor_points(row.poly))
+        count = len(report.points(row.poly))
         if count > bound:
             violations.append(Violation(
                 (row.poly,), f"{count} rational points exceed the bound {bound}"))

@@ -3,12 +3,17 @@
 Fields are presented as F_p[t]/(modulus) where the modulus is the
 lexicographically smallest monic irreducible of its degree, so every
 object built on top of a field is reproducible across runs and
-machines.  Elements are immutable dense residue vectors; all operations
-are pure and integer-exact.
+machines.  Because the modulus is a function of (p, k), there is one
+Field object per (p, k) in a process: ``make_field`` and ``extension``
+both return the interned field, and two fields are equal exactly when
+they are the same object.  Each extension tower and its embedding are
+built once per process and then reused.  Elements are immutable dense
+residue vectors; all operations are pure and integer-exact.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 
 from .config import DEFAULT_CONFIG
@@ -23,17 +28,7 @@ from .errors import (
 
 def is_prime(n):
     """Deterministic trial division; adequate below the field cap."""
-    if n < 2:
-        return False
-    for small in (2, 3):
-        if n % small == 0:
-            return n == small
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n):
@@ -61,16 +56,6 @@ def _trim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def _pl_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
 
 
 def _pl_sub(a, b, p):
@@ -205,7 +190,11 @@ def lex_smallest_irreducible(p, k):
 
 
 class Field:
-    """A finite field F_{p^k} presented by a monic irreducible modulus."""
+    """A finite field F_{p^k} presented by a monic irreducible modulus.
+
+    Compares and hashes by identity; ``make_field`` and ``extension``
+    hand out the one interned instance per (p, k).
+    """
 
     __slots__ = ("p", "k", "order", "modulus")
 
@@ -217,17 +206,6 @@ class Field:
         if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self):
         if self.k == 1:
             return f"F_{self.p}"
@@ -238,7 +216,7 @@ class Field:
     def element(self, value):
         """Coerce an int, coefficient sequence, or Fel into this field."""
         if isinstance(value, Fel):
-            if value.field != self:
+            if value.field is not self:
                 raise MixedFields(f"{value!r} does not belong to {self!r}")
             return value
         if isinstance(value, int):
@@ -291,6 +269,12 @@ def make_field(p, k=1, config=DEFAULT_CONFIG):
         raise ValueError("extension degree must be >= 1")
     if p**k > config.field_cap:
         raise CapExceeded(f"{p}^{k} exceeds the field cap {config.field_cap}")
+    return _field(p, k)
+
+
+@cache
+def _field(p, k):
+    """The interned F_{p^k}; callers have validated p and k."""
     return Field(p, k, lex_smallest_irreducible(p, k))
 
 
@@ -307,7 +291,7 @@ class Fel:
 
     def _coerce(self, other):
         if isinstance(other, Fel):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise MixedFields("elements of different fields")
             return other
         if isinstance(other, int):
@@ -316,7 +300,7 @@ class Fel:
 
     def __eq__(self, other):
         if isinstance(other, Fel):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return self.field is other.field and self.coeffs == other.coeffs
         if isinstance(other, int):
             # only residues 0 <= n < p, so that equal objects hash alike
             return 0 <= other < self.field.p and self == self.field.element(other)
@@ -475,7 +459,7 @@ class Embedding:
         self.dst = dst
         if src.p != dst.p or dst.k % src.k != 0:
             raise NoEmbedding(f"no embedding {src!r} -> {dst!r}")
-        if src == dst:
+        if src is dst:
             self._mode = "identity"
             self._pows = ()
         elif src.k == 1:
@@ -496,7 +480,7 @@ class Embedding:
             self._pows = tuple(pows)
 
     def __call__(self, e):
-        if e.field != self.src:
+        if e.field is not self.src:
             raise MixedFields("element does not belong to the source field")
         if self._mode == "identity":
             return e
@@ -510,7 +494,7 @@ class Embedding:
 
     def section(self, z):
         """Preimage of z under the embedding; NoEmbedding if z is outside."""
-        if z.field != self.dst:
+        if z.field is not self.dst:
             raise MixedFields("element does not belong to the target field")
         if self._mode == "identity":
             return z
@@ -549,20 +533,29 @@ class Embedding:
         return cand
 
 
+def embedding(src, dst):
+    """The fixed embedding src -> dst: the one ``extension`` built when
+    dst is the interned field of its order."""
+    if src.p != dst.p or dst.k % src.k != 0:
+        raise NoEmbedding(f"no embedding {src!r} -> {dst!r}")
+    big, emb = extension(src, dst.k // src.k)
+    return emb if big is dst else Embedding(src, dst)
+
+
 def embed(e, target):
     """Image of e under the fixed embedding of its field into target."""
-    return Embedding(e.field, target)(e)
+    return embedding(e.field, target)(e)
 
 
+@cache
 def extension(field, m):
     """The degree-m extension of field together with the fixed embedding.
 
-    Built as F_{p^{k m}} with its own lex-smallest modulus; tower
-    construction is internal, so no field cap applies here.
+    Built as the interned F_{p^{k m}}, so a tower and its embedding are
+    built once per process; tower construction is internal, so no field
+    cap applies here.
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    if m == 1:
-        return field, Embedding(field, field)
-    big = Field(field.p, field.k * m, lex_smallest_irreducible(field.p, field.k * m))
+    big = field if m == 1 else _field(field.p, field.k * m)
     return big, Embedding(field, big)

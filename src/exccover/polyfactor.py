@@ -85,7 +85,7 @@ class UPoly:
     def __eq__(self, other):
         return (
             isinstance(other, UPoly)
-            and self.field == other.field
+            and self.field is other.field
             and self.coeffs == other.coeffs
         )
 
@@ -99,7 +99,7 @@ class UPoly:
 
     def _coerce(self, other):
         if isinstance(other, UPoly):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise MixedFields("polynomials over different fields")
             return other
         if isinstance(other, (Fel, int)):
@@ -227,17 +227,6 @@ class UPoly:
         a = self.field.element(a)
         return self.compose(UPoly(self.field, (a, self.field.one())))
 
-    def reversed_at(self, d=None):
-        """x^d * self(1/x) for d >= degree (default the degree itself)."""
-        if d is None:
-            d = max(self.degree, 0)
-        if d < self.degree:
-            raise ValueError("reversal degree below polynomial degree")
-        out = [self.field.zero()] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return UPoly(self.field, out)
-
     def truncate(self, prec):
         return UPoly(self.field, self.coeffs[:prec])
 
@@ -249,7 +238,7 @@ def upoly_gcd(f, g):
     """Monic greatest common divisor."""
     if not isinstance(f, UPoly) or not isinstance(g, UPoly):
         raise TypeError("upoly_gcd expects UPoly operands")
-    if f.field != g.field:
+    if f.field is not g.field:
         raise MixedFields("polynomials over different fields")
     a, b = f, g
     while not b.is_zero():
@@ -259,7 +248,7 @@ def upoly_gcd(f, g):
 
 def upoly_ext_gcd(f, g):
     """(d, s, t) with s*f + t*g = d and d the monic gcd."""
-    if f.field != g.field:
+    if f.field is not g.field:
         raise MixedFields("polynomials over different fields")
     fld = f.field
     a, b = f, g
@@ -512,7 +501,7 @@ class BPoly:
         cs = []
         for c in ycoeffs:
             if isinstance(c, UPoly):
-                if c.field != field:
+                if c.field is not field:
                     raise MixedFields("coefficient over a different field")
                 cs.append(c)
             else:
@@ -587,7 +576,7 @@ class BPoly:
     def __eq__(self, other):
         return (
             isinstance(other, BPoly)
-            and self.field == other.field
+            and self.field is other.field
             and self.ycoeffs == other.ycoeffs
         )
 
@@ -601,7 +590,7 @@ class BPoly:
 
     def _coerce(self, other):
         if isinstance(other, BPoly):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise MixedFields("polynomials over different fields")
             return other
         if isinstance(other, UPoly):
@@ -686,14 +675,6 @@ class BPoly:
         """UPoly in y obtained by fixing x = x0."""
         x0 = self.field.element(x0)
         return UPoly(self.field, [c.evaluate(x0) for c in self.ycoeffs])
-
-    def substitute_y(self, y0):
-        """UPoly in x obtained by fixing y = y0."""
-        y0 = self.field.element(y0)
-        acc = UPoly.zero(self.field)
-        for c in reversed(self.ycoeffs):
-            acc = acc * y0 + c
-        return acc
 
     def evaluate(self, x0, y0):
         return self.substitute_x(x0).evaluate(y0)

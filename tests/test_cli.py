@@ -259,6 +259,26 @@ def test_groups_subcommand(tmp_path, capsys):
     assert res["conditions"]["agree"] is True
 
 
+def test_groups_spec_accepts_spaces_between_cycles(tmp_path, capsys):
+    assert parse_cycles(" (0 1) (2 3)", 4) == parse_cycles("(0 1)(2 3)", 4)
+    # the affine group on five points over the dihedral group of order
+    # 10, which x -> -x, written as two cycles, generates with x -> x + 1
+    text = ("[A]\n(0 1 2 3 4)\n(1 2 4 3)\n(1 4){sep}(2 3)\n"
+            "[G]\n(0 1 2 3 4)\n(1 4){sep}(2 3)\n"
+            "[a]\n(1 2 4 3)\n")
+    results = []
+    for name, sep in (("tight.grp", ""), ("spaced.grp", " "),
+                      ("tab.grp", " \t ")):
+        spec = tmp_path / name
+        spec.write_text(text.format(sep=sep))
+        code, out, err = run(capsys, ["--json", "groups", "--spec", str(spec)])
+        assert code == 0, err
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1] == results[2]
+    assert results[1]["ambient_order"] == 20
+    assert results[1]["normal_order"] == 10
+
+
 def test_groups_spec_missing_section(tmp_path, capsys):
     spec = tmp_path / "bad.grp"
     spec.write_text("[A]\n(0 1)\n")

@@ -238,3 +238,48 @@ def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(12) == [2, 3]
     assert prime_factors(97) == [97]
+
+
+# ---------------------------------------------------------------------------
+# One Field object per (p, k).
+
+
+def test_make_field_interns_each_field():
+    assert make_field(7, 2) is make_field(7, 2)
+    assert make_field(13) is make_field(13, 1, Config(field_cap=13))
+    for p, k in ((5, 2), (2, 3), (13, 4)):
+        assert extension(make_field(p), k)[0] is make_field(p, k)
+    assert extension(make_field(3, 2), 2)[0] is make_field(3, 4)
+
+
+def test_extension_reuses_its_embedding():
+    F9 = make_field(3, 2)
+    big, emb = extension(F9, 3)
+    again = extension(F9, 3)
+    assert again[0] is big and again[1] is emb
+    assert big is make_field(3, 6)
+    for v in range(F9.order):
+        a = F9.from_int(v)
+        assert embed(a, big) == emb(a)
+        assert emb.section(embed(a, big)) == a
+    F3 = make_field(3)
+    same, ident = extension(F3, 1)
+    assert same is F3 and embed(F3.element(2), F3) == ident(F3.element(2))
+
+
+def test_interned_fields_still_reject_mixing():
+    F3, F9 = make_field(3), make_field(3, 2)
+    with pytest.raises(MixedFields):
+        F3.element(1) + F9.element(1)
+    with pytest.raises(MixedFields):
+        F9.element(F3.element(2))
+    assert F3.element(2) != F9.element(2)
+
+
+def test_make_field_cap_applies_to_cached_fields():
+    F = make_field(2, 10)
+    assert make_field(2, 10) is F
+    with pytest.raises(CapExceeded):
+        make_field(2, 10, Config(field_cap=2**9))
+    with pytest.raises(NonPrime):
+        make_field(9)

@@ -448,3 +448,38 @@ def test_absolute_component_count_pure_x_factor():
     F5 = make_field(5)
     g = BPoly.from_x_poly(UPoly(F5, (2, 0, 1)))  # x^2 + 2, irreducible mod 5
     assert absolute_component_count(g) == 2
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: sympy's univariate factoring over F_p.
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_factor_univariate_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2005)
+
+    def random_poly(F, deg):
+        return UPoly(F, [rng.randrange(F.p) for _ in range(deg)]
+                     + [rng.randrange(1, F.p)])
+
+    for p in (2, 3, 5, 7, 13, 101):
+        F = make_field(p)
+        for _ in range(6):
+            # repeated and p-th power factors exercise the squarefree step
+            a = random_poly(F, rng.randrange(1, 7))
+            b = random_poly(F, rng.randrange(1, 4))
+            f = a * b**2 * (b**p if p <= 3 else UPoly.one(F))
+            cert = factor_univariate(f)
+            ours = sorted((tuple(c.to_int() for c in g.coeffs), m)
+                          for g, m in cert.factors)
+            expr = sum(c.to_int() * x**i for i, c in enumerate(f.coeffs))
+            lc, facs = sympy.factor_list(expr, x, modulus=p)
+            # sympy prints symmetric residues; map them into 0..p-1
+            theirs = sorted(
+                (tuple(int(c) % p for c in
+                       reversed(sympy.Poly(g, x).all_coeffs())), m)
+                for g, m in facs)
+            assert int(lc) % p == cert.unit.to_int()
+            assert ours == theirs, (p, f)
