@@ -250,19 +250,20 @@ def bpoly_to_str(F):
 # in cycle notation on 0-based points.
 
 
+_CYCLES = re.compile(r"(?:\([\d\s,]*\)\s*)*")
+
+
 def parse_cycles(text, deg):
+    """Permutation from whitespace-separated cycles such as ``(0 1 2) (3, 4)``."""
     text = text.strip()
-    if text in ("()", ""):
-        return Perm.identity(deg)
-    if not text.startswith("("):
-        raise ValueError(f"cycle notation must start with '(': {text!r}")
+    end = _CYCLES.match(text).end()
+    if end != len(text):
+        raise ValueError(f"malformed cycle notation at {text[end:]!r} in {text!r}")
     cycles = []
-    for chunk in re.split(r"(?<=\))\s*(?=\()", text):
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ValueError(f"malformed cycle {chunk!r}")
-        body = chunk[1:-1].replace(",", " ").split()
-        if body:
-            cycles.append(tuple(int(s) for s in body))
+    for body in re.findall(r"\(([^()]*)\)", text):
+        points = body.replace(",", " ").split()
+        if points:
+            cycles.append(tuple(int(s) for s in points))
     return Perm.from_cycles(deg, cycles)
 
 

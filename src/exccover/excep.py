@@ -14,7 +14,12 @@ from dataclasses import dataclass, field as dataclass_field
 from math import lcm
 
 from .config import DEFAULT_CONFIG
-from .errors import CapExceeded, NotSeparable, PreconditionFailed
+from .errors import (
+    CapExceeded,
+    DegreeCapExceeded,
+    NotSeparable,
+    PreconditionFailed,
+)
 from .covers import INFINITY, ProjPoint, RationalMap
 from .polyfactor import (
     BPoly,
@@ -101,6 +106,11 @@ def _diagonal_canonical(field):
 
 def decide_exceptional(f, config=DEFAULT_CONFIG):
     """Factor the nondiagonal fiber product and classify each factor."""
+    # Phi has bidegree exactly (n - 1, n - 1): refuse it before building it
+    n, cap = f.degree, config.bivariate_degree_cap
+    if n - 1 > cap:
+        raise DegreeCapExceeded(
+            f"bidegree ({n - 1}, {n - 1}) exceeds the cap {cap}")
     phi = fiber_product_poly(f)
     cert = factor_bivariate(phi, config)
     diag = _diagonal_canonical(f.field)

@@ -13,6 +13,7 @@ residue vectors; all operations are pure and integer-exact.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from math import gcd
 
@@ -44,6 +45,19 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def power(x, e, one, mul):
+    """x^e for an integer e >= 0 by square-and-multiply under the
+    associative product mul; e = 0 returns one itself."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +143,8 @@ def _pl_gcd(a, b, p):
 
 
 def _pl_powmod(base, e, m, p):
-    result = [1]
-    b = _pl_mod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pl_mod(_pl_mul(result, b, p), m, p)
-        b = _pl_mod(_pl_mul(b, b, p), m, p)
-        e >>= 1
-    return result
+    return power(_pl_mod(base, m, p), e, [1],
+                 lambda a, b: _pl_mod(_pl_mul(a, b, p), m, p))
 
 
 def _pl_is_irreducible(m, p):
@@ -415,14 +423,7 @@ class Fel:
             return Fel(f, (pow(self.coeffs[0], e, f.p),))
         if e < 0:
             return self.inverse() ** (-e)
-        result = f.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, f.one(), operator.mul)
 
 
 def nth_power_solution_count(c, n):

@@ -2,6 +2,10 @@
 finite fields, including the absolute-irreducibility classification of
 plane-curve factors.
 
+Both polynomial types are dense polynomials in one variable on one
+shared core of ring arithmetic: a UPoly is a polynomial over F_q, and a
+BPoly is a polynomial in y over F_q[x] whose coefficients are UPolys.
+
 The univariate factorizer is the classical squarefree / distinct-degree /
 equal-degree pipeline with a configuration-fixed seed for the randomized
 splits.  The bivariate factorizer specializes along a line, factors the
@@ -12,6 +16,7 @@ by exhaustive subset search with exact trial division.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -22,20 +27,20 @@ from .errors import (
     MixedFields,
     NotSquarefree,
 )
-from .gf import Fel, Field, extension, prime_factors
+from .gf import Fel, Field, extension, power, prime_factors
 
 
-class UPoly:
-    """Dense univariate polynomial over a Field, coefficients low to high."""
+class _Dense:
+    """Dense polynomial in one variable over a commutative ring,
+    coefficients low to high (von zur Gathen-Gerhard, Modern Computer
+    Algebra, ch. 2).
+
+    Subclasses fix the coefficient ring: ``__init__`` lifts and trims the
+    coefficients, and ``_scalar`` lifts one operand into the ring, or
+    returns None when it is not a ring element.
+    """
 
     __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs=()):
-        cs = [field.element(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
 
     # -- constructors ---------------------------------------------------------
 
@@ -51,16 +56,8 @@ class UPoly:
     def constant(cls, field, c):
         return cls(field, (c,))
 
-    @classmethod
-    def x(cls, field):
-        return cls(field, (0, 1))
-
-    @classmethod
-    def from_roots(cls, field, roots):
-        out = cls.one(field)
-        for r in roots:
-            out = out * cls(field, (-field.element(r), field.one()))
-        return out
+    def _new(self, coeffs):
+        return type(self)(self.field, coeffs)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -72,52 +69,34 @@ class UPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def lc(self):
-        if not self.coeffs:
-            raise DivisionByZero("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
-
-    def coefficient(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero()
-
     def __eq__(self, other):
         return (
-            isinstance(other, UPoly)
+            type(other) is type(self)
             and self.field is other.field
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.modulus))
-
-    def __repr__(self):
-        return f"UPoly({[c.to_int() for c in self.coeffs]} over {self.field!r})"
+        return hash(self.coeffs)
 
     # -- arithmetic -------------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, UPoly):
+        if type(other) is type(self):
             if other.field is not self.field:
                 raise MixedFields("polynomials over different fields")
             return other
-        if isinstance(other, (Fel, int)):
-            return UPoly(self.field, (self.field.element(other),))
-        return None
+        c = self._scalar(other)
+        return None if c is None else self._new((c,))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        z = self.field.zero()
-        out = [
-            (self.coeffs[i] if i < len(self.coeffs) else z)
-            + (o.coeffs[i] if i < len(o.coeffs) else z)
-            for i in range(n)
-        ]
-        return UPoly(self.field, out)
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return self._new([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -134,26 +113,102 @@ class UPoly:
         return o - self
 
     def __neg__(self):
-        return UPoly(self.field, tuple(-c for c in self.coeffs))
+        return self._new([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (Fel, int)):
-            c = self.field.element(other)
-            return UPoly(self.field, tuple(a * c for a in self.coeffs))
+        if type(other) is not type(self):
+            c = self._scalar(other)
+            if c is None:
+                return NotImplemented
+            return self._new([a * c for a in self.coeffs])
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         if self.is_zero() or o.is_zero():
-            return UPoly.zero(self.field)
-        z = self.field.zero()
+            return self._new(())
+        z = self._scalar(0)
         out = [z] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a.is_zero():
                 for j, b in enumerate(o.coeffs):
                     out[i + j] = out[i + j] + a * b
-        return UPoly(self.field, out)
+        return self._new(out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, e):
+        if not isinstance(e, int) or e < 0:
+            return NotImplemented
+        return power(self, e, self.one(self.field), operator.mul)
+
+    def _divide(self, o, lead_quotient):
+        """Schoolbook division by a nonzero o: (quotient, remainder).
+
+        ``lead_quotient(c)`` is the quotient term that cancels a leading
+        remainder coefficient c against o's leading coefficient, or None
+        when there is none; the division then stops and returns None.
+        """
+        rem = list(self.coeffs)
+        do = o.degree
+        q = [self._scalar(0)] * max(len(rem) - do, 0)
+        while len(rem) > do:
+            c = lead_quotient(rem[-1])
+            if c is None:
+                return None
+            off = len(rem) - 1 - do
+            q[off] = c
+            for i in range(do + 1):
+                rem[off + i] = rem[off + i] - c * o.coeffs[i]
+            while rem and rem[-1].is_zero():
+                rem.pop()
+        return self._new(q), self._new(rem)
+
+    def derivative(self):
+        return self._new([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+
+
+class UPoly(_Dense):
+    """Dense univariate polynomial over a Field, coefficients low to high."""
+
+    __slots__ = ()
+
+    def __init__(self, field, coeffs=()):
+        cs = [field.element(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.field = field
+        self.coeffs = tuple(cs)
+
+    def _scalar(self, c):
+        return self.field.element(c) if isinstance(c, (Fel, int)) else None
+
+    # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def x(cls, field):
+        return cls(field, (0, 1))
+
+    @classmethod
+    def from_roots(cls, field, roots):
+        out = cls.one(field)
+        for r in roots:
+            out = out * cls(field, (-field.element(r), field.one()))
+        return out
+
+    # -- basic queries ---------------------------------------------------------
+
+    def lc(self):
+        if not self.coeffs:
+            raise DivisionByZero("leading coefficient of zero polynomial")
+        return self.coeffs[-1]
+
+    def coefficient(self, i):
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return self.field.zero()
+
+    def __repr__(self):
+        return f"UPoly({[c.to_int() for c in self.coeffs]} over {self.field!r})"
+
+    # -- division ---------------------------------------------------------------
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -164,18 +219,7 @@ class UPoly:
         if self.degree < o.degree:
             return UPoly.zero(self.field), self
         inv = o.lc().inverse()
-        rem = list(self.coeffs)
-        do = o.degree
-        q = [self.field.zero()] * (len(rem) - do)
-        while len(rem) - 1 >= do and rem:
-            c = rem[-1] * inv
-            off = len(rem) - 1 - do
-            q[off] = c
-            for i in range(do + 1):
-                rem[off + i] = rem[off + i] - c * o.coeffs[i]
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return UPoly(self.field, q), UPoly(self.field, rem)
+        return self._divide(o, lambda c: c * inv)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -183,29 +227,10 @@ class UPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        result = UPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- calculus and transforms -------------------------------------------------
 
-    def derivative(self):
-        out = [self.coeffs[i] * i for i in range(1, len(self.coeffs))]
-        return UPoly(self.field, out)
-
     def monic(self):
-        if self.is_zero():
-            return self
-        inv = self.lc().inverse()
-        return UPoly(self.field, tuple(c * inv for c in self.coeffs))
+        return self if self.is_zero() else self * self.lc().inverse()
 
     def evaluate(self, x):
         x = self.field.element(x)
@@ -267,14 +292,7 @@ def upoly_ext_gcd(f, g):
 
 def pow_mod(base, e, mod):
     """base^e mod mod for a nonnegative integer exponent."""
-    result = UPoly.one(base.field)
-    b = base % mod
-    while e:
-        if e & 1:
-            result = (result * b) % mod
-        b = (b * b) % mod
-        e >>= 1
-    return result
+    return power(base % mod, e, UPoly.one(base.field), lambda a, b: (a * b) % mod)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +306,7 @@ def _pth_root_fel(c):
 
 
 def _pth_root_upoly(f):
-    p = f.field.p
-    out = []
-    for i in range(0, f.degree + 1, p):
-        out.append(_pth_root_fel(f.coefficient(i)))
-    return UPoly(f.field, out)
+    return UPoly(f.field, [_pth_root_fel(c) for c in f.coeffs[::f.field.p]])
 
 
 def squarefree_decomposition(f):
@@ -491,39 +505,32 @@ def is_irreducible(f):
 # Bivariate polynomials.
 
 
-class BPoly:
-    """Dense bivariate polynomial stored as UPoly-in-x coefficients of
-    powers of y."""
+class BPoly(_Dense):
+    """Dense bivariate polynomial: a polynomial in y whose coefficients,
+    low to high, are UPolys in x, so it shares UPoly's ring arithmetic."""
 
-    __slots__ = ("field", "ycoeffs")
+    __slots__ = ()
 
     def __init__(self, field, ycoeffs=()):
+        self.field = field
         cs = []
         for c in ycoeffs:
-            if isinstance(c, UPoly):
-                if c.field is not field:
-                    raise MixedFields("coefficient over a different field")
-                cs.append(c)
-            else:
-                cs.append(UPoly(field, c))
+            u = self._scalar(c)
+            cs.append(UPoly(field, c) if u is None else u)
         while cs and cs[-1].is_zero():
             cs.pop()
-        self.field = field
-        self.ycoeffs = tuple(cs)
+        self.coeffs = tuple(cs)
+
+    def _scalar(self, c):
+        if isinstance(c, UPoly):
+            if c.field is not self.field:
+                raise MixedFields("coefficient over a different field")
+            return c
+        if isinstance(c, (Fel, int)):
+            return UPoly(self.field, (c,))
+        return None
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, (UPoly.one(field),))
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (UPoly.constant(field, c),))
 
     @classmethod
     def from_x_poly(cls, f):
@@ -531,7 +538,7 @@ class BPoly:
 
     @classmethod
     def from_y_poly(cls, f):
-        return cls(f.field, tuple(UPoly.constant(f.field, c) for c in f.coeffs))
+        return cls(f.field, f.coeffs)
 
     @classmethod
     def from_grid(cls, field, rows):
@@ -548,118 +555,33 @@ class BPoly:
 
     # -- queries ----------------------------------------------------------------
 
+    deg_y = _Dense.degree
+
     @property
-    def deg_y(self):
-        return len(self.ycoeffs) - 1
+    def ycoeffs(self):
+        """Read-only alias of ``coeffs``: the UPolys in x, low to high in y."""
+        return self.coeffs
 
     @property
     def deg_x(self):
-        return max((c.degree for c in self.ycoeffs), default=-1)
+        return max((c.degree for c in self.coeffs), default=-1)
 
     @property
     def total_degree(self):
         best = -1
-        for j, c in enumerate(self.ycoeffs):
+        for j, c in enumerate(self.coeffs):
             for i, a in enumerate(c.coeffs):
                 if not a.is_zero():
                     best = max(best, i + j)
         return best
 
-    def is_zero(self):
-        return not self.ycoeffs
-
     def coefficient(self, i, j):
-        if 0 <= j < len(self.ycoeffs):
-            return self.ycoeffs[j].coefficient(i)
+        if 0 <= j < len(self.coeffs):
+            return self.coeffs[j].coefficient(i)
         return self.field.zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BPoly)
-            and self.field is other.field
-            and self.ycoeffs == other.ycoeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ycoeffs, self.field.p, self.field.modulus))
 
     def __repr__(self):
         return f"BPoly(deg_x={self.deg_x}, deg_y={self.deg_y} over {self.field!r})"
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, BPoly):
-            if other.field is not self.field:
-                raise MixedFields("polynomials over different fields")
-            return other
-        if isinstance(other, UPoly):
-            return BPoly.from_x_poly(other)
-        if isinstance(other, (Fel, int)):
-            return BPoly.constant(self.field, self.field.element(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.ycoeffs), len(o.ycoeffs))
-        zero = UPoly.zero(self.field)
-        out = [
-            (self.ycoeffs[j] if j < len(self.ycoeffs) else zero)
-            + (o.ycoeffs[j] if j < len(o.ycoeffs) else zero)
-            for j in range(n)
-        ]
-        return BPoly(self.field, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return BPoly(self.field, tuple(-c for c in self.ycoeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (Fel, int, UPoly)):
-            c = other if isinstance(other, UPoly) else UPoly.constant(
-                self.field, self.field.element(other))
-            return BPoly(self.field, tuple(a * c for a in self.ycoeffs))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return BPoly.zero(self.field)
-        zero = UPoly.zero(self.field)
-        out = [zero] * (len(self.ycoeffs) + len(o.ycoeffs) - 1)
-        for i, a in enumerate(self.ycoeffs):
-            if not a.is_zero():
-                for j, b in enumerate(o.ycoeffs):
-                    out[i + j] = out[i + j] + a * b
-        return BPoly(self.field, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        result = BPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     # -- transforms ------------------------------------------------------------------
 
@@ -674,31 +596,29 @@ class BPoly:
     def substitute_x(self, x0):
         """UPoly in y obtained by fixing x = x0."""
         x0 = self.field.element(x0)
-        return UPoly(self.field, [c.evaluate(x0) for c in self.ycoeffs])
+        return UPoly(self.field, [c.evaluate(x0) for c in self.coeffs])
 
     def evaluate(self, x0, y0):
         return self.substitute_x(x0).evaluate(y0)
 
-    def derivative_y(self):
-        out = [self.ycoeffs[j] * j for j in range(1, len(self.ycoeffs))]
-        return BPoly(self.field, out)
+    derivative_y = _Dense.derivative
 
     def derivative_x(self):
-        return BPoly(self.field, tuple(c.derivative() for c in self.ycoeffs))
+        return BPoly(self.field, tuple(c.derivative() for c in self.coeffs))
 
     def shift_x(self, a):
-        return BPoly(self.field, tuple(c.shift(a) for c in self.ycoeffs))
+        return BPoly(self.field, tuple(c.shift(a) for c in self.coeffs))
 
     def map_coefficients(self, fn, new_field):
         return BPoly(new_field, tuple(c.map_coefficients(fn, new_field)
-                                      for c in self.ycoeffs))
+                                      for c in self.coeffs))
 
     def canonical(self):
         """Unit-normalized form: the coefficient of the highest monomial
         (y-degree first, then x-degree) is scaled to one."""
         if self.is_zero():
             return self
-        lead = self.ycoeffs[-1].lc()
+        lead = self.coeffs[-1].lc()
         if lead.to_int() == 1:
             return self
         return self * lead.inverse()
@@ -727,7 +647,7 @@ class BPoly:
 def content_y(F):
     """Monic gcd in F_q[x] of the y-coefficients."""
     acc = UPoly.zero(F.field)
-    for c in F.ycoeffs:
+    for c in F.coeffs:
         acc = upoly_gcd(acc, c)
         if acc.degree == 0 and not acc.is_zero():
             break
@@ -738,43 +658,23 @@ def primitive_part_y(F):
     c = content_y(F)
     if c.degree <= 0:
         return F
-    return BPoly(F.field, tuple(a // c for a in F.ycoeffs))
+    return BPoly(F.field, tuple(a // c for a in F.coeffs))
 
 
 def bpoly_div_exact(F, G):
     """Quotient F / G in F_q[x][y], or None when G does not divide F."""
     if G.is_zero():
         raise DivisionByZero("division by the zero polynomial")
-    if F.is_zero():
-        return BPoly.zero(F.field)
-    if G.deg_y == 0:
-        g = G.ycoeffs[0]
-        out = []
-        for c in F.ycoeffs:
-            q, r = divmod(c, g)
-            if not r.is_zero():
-                return None
-            out.append(q)
-        return BPoly(F.field, out)
-    if F.deg_y < G.deg_y:
+    glc = G.coeffs[-1]
+
+    def lead_quotient(c):
+        q, r = divmod(c, glc)
+        return None if r.coeffs else q
+
+    out = F._divide(G, lead_quotient)
+    if out is None or out[1].coeffs:
         return None
-    rem = list(F.ycoeffs)
-    glc = G.ycoeffs[-1]
-    dg = G.deg_y
-    qcoeffs = [UPoly.zero(F.field)] * (len(rem) - dg)
-    while len(rem) - 1 >= dg and rem:
-        q, r = divmod(rem[-1], glc)
-        if not r.is_zero():
-            return None
-        off = len(rem) - 1 - dg
-        qcoeffs[off] = q
-        for i in range(dg + 1):
-            rem[off + i] = rem[off + i] - q * G.ycoeffs[i]
-        while rem and rem[-1].is_zero():
-            rem.pop()
-    if rem:
-        return None
-    return BPoly(F.field, qcoeffs)
+    return out[0]
 
 
 def _prem_y(A, B):
@@ -782,8 +682,8 @@ def _prem_y(A, B):
     da, db = A.deg_y, B.deg_y
     if da < db:
         return A
-    lb = B.ycoeffs[-1]
-    rem = list(A.ycoeffs)
+    lb = B.coeffs[-1]
+    rem = list(A.coeffs)
     for _ in range(da - db + 1):
         if len(rem) - 1 < db:
             break
@@ -791,7 +691,7 @@ def _prem_y(A, B):
         rem = [c * lb for c in rem]
         off = len(rem) - 1 - db
         for i in range(db + 1):
-            rem[off + i] = rem[off + i] - lead * B.ycoeffs[i]
+            rem[off + i] = rem[off + i] - lead * B.coeffs[i]
         rem.pop()
         while rem and rem[-1].is_zero():
             rem.pop()
@@ -805,11 +705,11 @@ def bgcd(F, G):
     if G.is_zero():
         return F.canonical()
     if F.deg_y == 0 and G.deg_y == 0:
-        return BPoly.from_x_poly(upoly_gcd(F.ycoeffs[0], G.ycoeffs[0])).canonical()
+        return BPoly.from_x_poly(upoly_gcd(F.coeffs[0], G.coeffs[0])).canonical()
     if F.deg_y == 0:
-        return BPoly.from_x_poly(upoly_gcd(F.ycoeffs[0], content_y(G))).canonical()
+        return BPoly.from_x_poly(upoly_gcd(F.coeffs[0], content_y(G))).canonical()
     if G.deg_y == 0:
-        return BPoly.from_x_poly(upoly_gcd(G.ycoeffs[0], content_y(F))).canonical()
+        return BPoly.from_x_poly(upoly_gcd(G.coeffs[0], content_y(F))).canonical()
     c = upoly_gcd(content_y(F), content_y(G))
     a, b = primitive_part_y(F), primitive_part_y(G)
     if a.deg_y < b.deg_y:
@@ -821,23 +721,12 @@ def bgcd(F, G):
 
 
 def _pth_root_bpoly(F):
-    p = F.field.p
-    ny = F.deg_y
-    nx = F.deg_x
-    ycs = []
-    for j in range(0, ny + 1, p):
-        row = []
-        for i in range(0, nx + 1, p):
-            row.append(_pth_root_fel(F.coefficient(i, j)))
-        ycs.append(UPoly(F.field, row))
-    return BPoly(F.field, ycs)
+    return BPoly(F.field, [_pth_root_upoly(c) for c in F.coeffs[::F.field.p]])
 
 
 def _compress_y(F):
     """Substitute y^p -> y when every y-exponent is divisible by p."""
-    p = F.field.p
-    ycs = [F.ycoeffs[j] for j in range(0, F.deg_y + 1, p)]
-    return BPoly(F.field, ycs)
+    return BPoly(F.field, F.coeffs[::F.field.p])
 
 
 def _series_inverse(u, prec):
@@ -920,8 +809,7 @@ def _specialization_ok(W, x0):
 
 def _frobenius_bpoly(F, power):
     """Apply the coefficient Frobenius z -> z^power."""
-    return BPoly(F.field, tuple(
-        UPoly(F.field, tuple(c ** power for c in yc.coeffs)) for yc in F.ycoeffs))
+    return F.map_coefficients(lambda c: c ** power, F.field)
 
 
 def _hensel_factor_squarefree(W, config):
@@ -981,7 +869,7 @@ def _sort_key_bpoly(F):
     return (
         F.deg_y,
         F.deg_x,
-        tuple(tuple(c.to_int() for c in yc.coeffs) for yc in F.ycoeffs),
+        tuple(tuple(c.to_int() for c in yc.coeffs) for yc in F.coeffs),
     )
 
 
@@ -993,9 +881,9 @@ def _hensel_at_line(W, x0, config):
     dx = max(W.deg_x, 0)
     prec = 2 * dx + 1
     Ws = W.shift_x(x0)
-    lcy = Ws.ycoeffs[-1]
+    lcy = Ws.coeffs[-1]
     linv = _series_inverse(lcy, prec)
-    wstar = [(c * linv).truncate(prec) for c in Ws.ycoeffs]
+    wstar = [(c * linv).truncate(prec) for c in Ws.coeffs]
     wstar[-1] = UPoly.one(fld)
     u = UPoly(fld, [c.coefficient(0) for c in wstar])
     cert = factor_univariate(u, config)
@@ -1011,7 +899,7 @@ def _hensel_at_line(W, x0, config):
         progress = False
         for size in range(1, len(active)):
             for subset in itertools.combinations(active, size):
-                cand = [remaining.ycoeffs[-1].truncate(prec)]
+                cand = [remaining.coeffs[-1].truncate(prec)]
                 for i in subset:
                     cand = _ylist_mul_trunc(cand, lifted[i], prec, fld)
                 H = BPoly(fld, cand)
@@ -1045,10 +933,10 @@ def _distinct_bivariate_factors(F, config):
     fld = F.field
     out = set()
     if F.deg_y == 0:
-        cert = factor_univariate(F.ycoeffs[0], config)
+        cert = factor_univariate(F.coeffs[0], config)
         return {BPoly.from_x_poly(g).canonical() for g, _ in cert.factors}
     if F.deg_x == 0:
-        yp = UPoly(fld, [c.coefficient(0) for c in F.ycoeffs])
+        yp = UPoly(fld, [c.coefficient(0) for c in F.coeffs])
         cert = factor_univariate(yp, config)
         return {BPoly.from_y_poly(g).canonical() for g, _ in cert.factors}
     cont = content_y(F)
@@ -1092,7 +980,7 @@ def _factor_squarefree_primitive(W, config):
     fld = W.field
     out = set()
     if W.deg_y == 0:
-        cert = factor_univariate(W.ycoeffs[0], config)
+        cert = factor_univariate(W.coeffs[0], config)
         return {BPoly.from_x_poly(g).canonical() for g, _ in cert.factors}
     Wy = W.derivative_y()
     if Wy.is_zero():
@@ -1102,7 +990,7 @@ def _factor_squarefree_primitive(W, config):
         p = fld.p
         for g in inner:
             ycs = []
-            for j, c in enumerate(g.ycoeffs):
+            for j, c in enumerate(g.coeffs):
                 while len(ycs) < j * p:
                     ycs.append(UPoly.zero(fld))
                 ycs.append(c)

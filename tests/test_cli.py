@@ -99,6 +99,14 @@ def test_parse_cycles():
     assert parse_cycles("(0, 1)", 2).images == (1, 0)
 
 
+@pytest.mark.parametrize("text,bad", [("(0 1) x(2 3)", "x(2 3)"),
+                                      ("(0 1))(2)", ")(2)")])
+def test_parse_cycles_names_malformed_text(text, bad):
+    with pytest.raises(ValueError, match="malformed cycle notation") as err:
+        parse_cycles(text, 5)
+    assert repr(bad) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -216,6 +224,19 @@ def test_analyze_cap_exit_code(capsys):
                                 "--num", "x^5-10*x", "--den", "x^4-3",
                                 "--m", "1"])
     assert code == 2
+
+
+def test_analyze_refuses_over_cap_map_before_fiber_product(capsys, monkeypatch):
+    import exccover.excep
+
+    def unreachable(f):
+        raise AssertionError("fiber product built for an over-cap map")
+
+    monkeypatch.setattr(exccover.excep, "fiber_product_poly", unreachable)
+    code, out, err = run(capsys, ["analyze", "--p", "7", "--num", "x^4000+x",
+                                  "--den", "1", "--m", "1"])
+    assert code == 2 and out == ""
+    assert "bidegree (3999, 3999) exceeds the cap 16" in err
 
 
 def test_analyze_nonprime_exit_code(capsys):

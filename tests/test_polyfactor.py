@@ -5,7 +5,7 @@ import pytest
 
 from exccover.config import Config
 from exccover.errors import DegreeCapExceeded, MixedFields, NotSquarefree
-from exccover.gf import extension, make_field
+from exccover.gf import extension, make_field, power
 from exccover.polyfactor import (
     BPoly,
     UPoly,
@@ -293,6 +293,91 @@ def test_content_and_exact_division():
     quo = bpoly_div_exact(F_, BPoly.from_x_poly(c))
     assert quo is not None and content_y(quo).degree == 0
     assert bpoly_div_exact(F_, BPoly.from_x_poly(x + 2)) is None
+
+
+# ---------------------------------------------------------------------------
+# The dense core shared by UPoly and BPoly, against grid arithmetic that
+# uses only field-element operations.
+
+
+def _cell(rows, i, j, F):
+    return rows[i][j] if i < len(rows) and j < len(rows[i]) else F.zero()
+
+
+def _grid_add(a, b, F, neg=False):
+    nx = max(len(a), len(b))
+    ny = max((len(r) for r in a + b), default=0)
+    return [[_cell(a, i, j, F) - _cell(b, i, j, F) if neg
+             else _cell(a, i, j, F) + _cell(b, i, j, F)
+             for j in range(ny)] for i in range(nx)]
+
+
+def _grid_mul(a, b, F):
+    nx = len(a) + len(b)
+    ny = max((len(r) for r in a), default=0) + max((len(r) for r in b), default=0)
+    out = [[F.zero()] * ny for _ in range(nx)]
+    for i1, r1 in enumerate(a):
+        for j1, c1 in enumerate(r1):
+            for i2, r2 in enumerate(b):
+                for j2, c2 in enumerate(r2):
+                    out[i1 + i2][j1 + j2] = out[i1 + i2][j1 + j2] + c1 * c2
+    return out
+
+
+def test_dense_core_matches_grid_arithmetic():
+    rng = random.Random(4)
+    for p, k in ((5, 1), (3, 2), (13, 1)):
+        F = make_field(p, k)
+
+        def rand_grid():
+            return [[F.from_int(rng.randrange(F.order))
+                     for _ in range(rng.randrange(0, 4))]
+                    for _ in range(rng.randrange(0, 4))]
+
+        for _ in range(12):
+            a, b = rand_grid(), rand_grid()
+            A, B = BPoly.from_grid(F, a), BPoly.from_grid(F, b)
+            zero = [[F.zero()]]
+            assert A + B == BPoly.from_grid(F, _grid_add(a, b, F))
+            assert A - B == BPoly.from_grid(F, _grid_add(a, b, F, neg=True))
+            assert -A == BPoly.from_grid(F, _grid_add(zero, a, F, neg=True))
+            assert A * B == BPoly.from_grid(F, _grid_mul(a, b, F))
+            cube = _grid_mul(_grid_mul(a, a, F), a, F)
+            assert A**3 == BPoly.from_grid(F, cube)
+            assert A**0 == BPoly.one(F)
+            # mixed operands lift into F_q[x][y]
+            u = rand_upoly(F, 3, rng, nonzero=False)
+            col = [[c] for c in u.coeffs]
+            assert A + u == u + A == BPoly.from_grid(F, _grid_add(a, col, F))
+            assert u - A == BPoly.from_grid(F, _grid_add(col, a, F, neg=True))
+            assert u * A == A * u == BPoly.from_grid(F, _grid_mul(col, a, F))
+            c = F.from_int(rng.randrange(F.order))
+            assert A * c == c * A == BPoly.from_grid(F, _grid_mul([[c]], a, F))
+            three = [[F.element(3)]]
+            assert A * 3 == 3 * A == BPoly.from_grid(F, _grid_mul(three, a, F))
+            assert A + 1 == BPoly.from_grid(F, _grid_add(a, [[F.one()]], F))
+
+
+def test_dense_core_edges():
+    F5 = make_field(5)
+    x = UPoly.x(F5)
+    cs = (1, 2)
+    assert UPoly(F5, cs) != BPoly(F5, [cs])
+    assert BPoly(F5, [cs]) != UPoly(F5, cs)
+    assert UPoly(F5, cs) != BPoly.from_y_poly(UPoly(F5, cs))
+    # a divisor free of y that fails on one middle y-coefficient
+    g = x + 1
+    divisible = BPoly(F5, [g * x, g, g * (x**2 + 2)])
+    assert bpoly_div_exact(divisible, BPoly.from_x_poly(g)) == \
+        BPoly(F5, [x, UPoly.one(F5), x**2 + 2])
+    stuck = BPoly(F5, [g * x, x**2 + 1, g * (x**2 + 2)])
+    assert bpoly_div_exact(stuck, BPoly.from_x_poly(g)) is None
+    f, h = x + 3, x**3 + x
+    q, r = divmod(f, h)
+    assert q.is_zero() and r == f
+    one = object()
+    assert power(x, 0, one, None) is one
+    assert power(3, 1000, 1, lambda s, t: s * t % 101) == pow(3, 1000, 101)
 
 
 # ---------------------------------------------------------------------------
