@@ -397,17 +397,26 @@ def cmd_analyze(args, config):
     censuses = [splitting_census(f, m, config) for m in census_sweep]
     branch = ramified_rational_points(f, 1, config)
 
-    validators = {}
-    inter = validate_intersection_property(report, config)
-    validators["intersection_violations"] = len(inter)
-    audit1 = next((a for a in audits if a.m == 1), None)
-    if audit1 is not None and audit1.injective:
-        diag = validate_diagonal_bound(report, audit1, config)
-        validators["diagonal_bound"] = {"status": "checked",
-                                        "violations": len(diag)}
+    if (q + 1) ** 2 > config.enumeration_cap:
+        # both validators walk every rational point pair of the fiber product
+        skipped = {"status": "skipped",
+                   "reason": f"(q+1)^2 = {(q + 1) ** 2} point pairs exceed "
+                             f"the enumeration cap {config.enumeration_cap}"}
+        validators = {"intersection_violations": skipped,
+                      "diagonal_bound": skipped}
+        inter_text = "skipped"
     else:
-        validators["diagonal_bound"] = {"status": "skipped",
-                                        "reason": "map is not injective at m=1"}
+        inter = validate_intersection_property(report, config)
+        inter_text = len(inter)
+        validators = {"intersection_violations": inter_text}
+        audit1 = next((a for a in audits if a.m == 1), None)
+        if audit1 is not None and audit1.injective:
+            diag = validate_diagonal_bound(report, audit1, config)
+            validators["diagonal_bound"] = {"status": "checked",
+                                            "violations": len(diag)}
+        else:
+            validators["diagonal_bound"] = {
+                "status": "skipped", "reason": "map is not injective at m=1"}
 
     thresholds = threshold_report(f.degree, 0)
     norm = None
@@ -478,7 +487,7 @@ def cmd_analyze(args, config):
         lines.append(f"census m={c.m}: {hist}")
     lines.append("branch points: " + _points_text(branch.points)
                  + f" (bound {branch.bound})")
-    lines.append(f"validators: intersection violations={len(inter)}, "
+    lines.append(f"validators: intersection violations={inter_text}, "
                  f"diagonal bound={validators['diagonal_bound']['status']}")
     return results, lines
 

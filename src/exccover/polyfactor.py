@@ -11,6 +11,12 @@ equal-degree pipeline with a configuration-fixed seed for the randomized
 splits.  The bivariate factorizer specializes along a line, factors the
 specialization, Hensel-lifts to twice the x-degree bound, and recombines
 by exhaustive subset search with exact trial division.
+
+The component count of an F_q-irreducible factor is bounded first: it
+divides gcd(deg_x, deg_y) and every factor degree of the factor's
+restriction to a good line x = x0 (Frobenius cycles the components).
+When that bound e is 1 nothing more is factored; otherwise the factor
+is factored over F_{Q^e}, never over a larger field.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
+from math import gcd
 
 from .config import DEFAULT_CONFIG
 from .errors import (
@@ -1054,14 +1061,42 @@ class GeometricFactor:
     field_of_definition_degree: int
 
 
+# Good F_q-lines scanned to bound a factor's component count before it
+# is factored over an extension.
+_BOUND_LINES = 4
+
+
 def absolute_component_count(G, config=DEFAULT_CONFIG):
     """Number of absolutely irreducible components of an F_q-irreducible
-    bivariate polynomial, computed by factoring over the extension of
-    degree equal to its total degree."""
-    D = G.total_degree
-    if D <= 1:
+    bivariate polynomial.
+
+    Frobenius permutes the c components cyclically and they share one
+    bidegree, so c divides gcd(deg_x, deg_y).  On a line x = x0 that keeps
+    deg_y and squarefreeness the components stay pairwise coprime, so c
+    also divides the degree of every F_q-irreducible factor of G(x0, y).
+    The gcd e of these degrees over a few such lines bounds c: e = 1
+    proves absolute irreducibility without factoring, and otherwise the
+    components are defined over F_{Q^c}, inside F_{Q^e}, so factoring G
+    over F_{Q^e} counts them exactly.
+    """
+    if G.total_degree <= 1:
         return 1
-    ext, emb = extension(G.field, D)
+    e = gcd(G.deg_x, G.deg_y)
+    # with a zero y-derivative no line gives a squarefree G(x0, y) of
+    # positive degree
+    if e > 1 and not G.derivative_y().is_zero():
+        good = 0
+        for x0 in G.field.elements():
+            u = _specialization_ok(G, x0)
+            if u is None:
+                continue
+            e = gcd(e, *splitting_type(u))
+            good += 1
+            if e == 1 or good == _BOUND_LINES:
+                break
+    if e == 1:
+        return 1
+    ext, emb = extension(G.field, e)
     Ge = G.map_coefficients(emb, ext)
     cert = factor_bivariate(Ge, config)
     return sum(m for _, m in cert.factors)
@@ -1070,10 +1105,12 @@ def absolute_component_count(G, config=DEFAULT_CONFIG):
 def geometric_components(F, config=DEFAULT_CONFIG):
     """Per-factor component counts for a squarefree bivariate polynomial.
 
-    Every F_q-irreducible factor G is factored over F_{Q^D} with D its
-    total degree; the factor is absolutely irreducible exactly when it
-    stays irreducible there, and the number of components equals the
-    degree of each component's field of definition.
+    Every F_q-irreducible factor G gets ``absolute_component_count``: the
+    factor degrees of G on a few good lines x = x0 bound its component
+    count by e, a divisor of gcd(deg_x, deg_y).  G is absolutely
+    irreducible when e = 1; otherwise G is factored over F_{Q^e}.  The
+    number of components equals the degree of each component's field of
+    definition.
     """
     if F.is_zero():
         raise DivisionByZero("geometric components of the zero polynomial")

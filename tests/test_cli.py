@@ -226,6 +226,24 @@ def test_analyze_cap_exit_code(capsys):
     assert code == 2
 
 
+def test_analyze_skips_validators_above_point_pair_cap(capsys):
+    # (2053 + 1)^2 point pairs exceed the default enumeration cap 2^22,
+    # while every other stage stays within it
+    argv = ["analyze", "--p", "2053", "--num", "x^3", "--den", "1", "--m", "1"]
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["audits"][0]["m"] == 1
+    for name in ("intersection_violations", "diagonal_bound"):
+        stage = res["validators"][name]
+        assert stage["status"] == "skipped"
+        assert "enumeration cap 4194304" in stage["reason"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert ("validators: intersection violations=skipped, "
+            "diagonal bound=skipped") in out
+
+
 def test_analyze_refuses_over_cap_map_before_fiber_product(capsys, monkeypatch):
     import exccover.excep
 

@@ -1,10 +1,24 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
+from exccover import polyfactor
 from exccover.config import Config
-from exccover.errors import DegreeCapExceeded, MixedFields, NotSquarefree
+from exccover.covers import RationalMap
+from exccover.errors import (
+    DegreeCapExceeded,
+    MixedFields,
+    NotSeparable,
+    NotSquarefree,
+)
+from exccover.excep import (
+    fiber_product_poly,
+    monomial_map,
+    quintic_pair_map,
+    quintic_twist_map,
+)
 from exccover.gf import extension, make_field, power
 from exccover.polyfactor import (
     BPoly,
@@ -533,6 +547,146 @@ def test_absolute_component_count_pure_x_factor():
     F5 = make_field(5)
     g = BPoly.from_x_poly(UPoly(F5, (2, 0, 1)))  # x^2 + 2, irreducible mod 5
     assert absolute_component_count(g) == 2
+
+
+def _component_count_oracle(G):
+    """Components of an F_q-irreducible G, counted by factoring it over
+    the extension of degree D = total degree."""
+    D = G.total_degree
+    if D <= 1:
+        return 1
+    ext, emb = extension(G.field, D)
+    cert = factor_bivariate(G.map_coefficients(emb, ext))
+    return sum(m for _, m in cert.factors)
+
+
+def _dickson(field, n, a):
+    # D_0 = 2, D_1 = x, D_n = x D_{n-1} - a D_{n-2}
+    a = field.element(a)
+    prev, cur = UPoly.constant(field, field.element(2)), UPoly.x(field)
+    for _ in range(n - 1):
+        prev, cur = cur, cur * UPoly.x(field) - prev * a
+    return cur
+
+
+def _random_map(field, n, rng):
+    """A seeded separable map of degree n with a random denominator."""
+    while True:
+        num = rand_upoly(field, n - 1, rng) + UPoly.x(field) ** n
+        try:
+            f = RationalMap(num, rand_upoly(field, n - 2, rng))
+        except NotSeparable:
+            continue
+        if f.degree == n:
+            return f
+
+
+def test_absolute_component_count_matches_extension_oracle():
+    rng = random.Random(5)
+    maps = []
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                 (11, 1), (13, 1)):
+        F = make_field(p, k)
+        for n in sorted(rng.sample(range(3, 7), 2)):
+            maps.append(_random_map(F, n, rng))
+    for (p, k), n in (((5, 1), 3), ((7, 1), 3), ((2, 2), 3), ((2, 3), 3),
+                      ((11, 1), 5), ((3, 2), 4), ((13, 1), 6), ((2, 4), 5)):
+        maps.append(monomial_map(make_field(p, k), n))
+    for (p, k), n, a in (((7, 1), 3, 1), ((7, 1), 5, 2), ((5, 1), 4, 1),
+                         ((3, 2), 4, 1), ((11, 1), 5, 3), ((13, 1), 5, 2),
+                         ((2, 2), 3, 1)):
+        F = make_field(p, k)
+        maps.append(RationalMap(_dickson(F, n, a), UPoly.one(F)))
+    maps += [quintic_twist_map(make_field(13)), quintic_twist_map(make_field(17)),
+             quintic_pair_map(make_field(17), 10, 3),
+             quintic_pair_map(make_field(13), 1, 2)]
+    split = 0
+    for f in maps:
+        for G, _ in factor_bivariate(fiber_product_poly(f)).factors:
+            c = absolute_component_count(G)
+            assert c == _component_count_oracle(G), (f.num, f.den, G)
+            split += c > 1
+    # x^3 over F_5 and F_8, two Dickson maps and two twists split
+    assert split >= 6
+
+
+@pytest.fixture
+def extension_degrees(monkeypatch):
+    """The degrees ``polyfactor`` asks ``extension`` for, in call order."""
+    asked = []
+    build = polyfactor.extension
+
+    def recording(field, e):
+        asked.append(e)
+        return build(field, e)
+
+    monkeypatch.setattr(polyfactor, "extension", recording)
+    return asked
+
+
+def _single_phi_factor(f):
+    (G, _), = factor_bivariate(fiber_product_poly(f)).factors
+    return G
+
+
+def test_component_count_extension_degrees(extension_degrees):
+    twist = _single_phi_factor(quintic_twist_map(make_field(13)))
+    pair = _single_phi_factor(quintic_pair_map(make_field(17), 10, 3))
+    assert twist.total_degree == pair.total_degree == 8
+    assert absolute_component_count(twist) == 2
+    assert extension_degrees and max(extension_degrees) < 8
+    extension_degrees.clear()
+    assert absolute_component_count(pair) == 1
+    assert extension_degrees and max(extension_degrees) <= 2
+    extension_degrees.clear()
+    # y^3 - gamma x^2: coprime bidegree, settled without an extension
+    F7 = make_field(7)
+    gamma = F7.multiplicative_generator()
+    G = BPoly(F7, [UPoly(F7, (0, 0, -gamma)), UPoly.zero(F7),
+                   UPoly.zero(F7), UPoly.one(F7)])
+    assert absolute_component_count(G) == 1
+    assert extension_degrees == []
+
+
+def _has_good_line(G):
+    for x0 in G.field.elements():
+        u = G.substitute_x(x0)
+        if u.degree == G.deg_y and upoly_gcd(u, u.derivative()).degree == 0:
+            return True
+    return False
+
+
+def test_component_count_without_a_good_line():
+    # seeded search for a y-separable factor with no good F_q-line, so
+    # only gcd(deg_x, deg_y) bounds the count
+    rng = random.Random(14)
+    found = []
+    while len(found) < 3:
+        cand = rand_bpoly(make_field(rng.choice((2, 3))), 2, 2, rng)
+        if cand.is_zero():
+            continue
+        for G, _ in factor_bivariate(cand).factors:
+            if (gcd(G.deg_x, G.deg_y) > 1 and not G.derivative_y().is_zero()
+                    and not _has_good_line(G)):
+                found.append(G)
+    counts = [absolute_component_count(G) for G in found]
+    assert counts == [_component_count_oracle(G) for G in found]
+    assert 2 in counts and {G.field.order for G in found} == {2, 3}
+
+
+@pytest.mark.parametrize("q_spec,rows,c", [
+    # y^2 = x^2 + x in characteristic 2: no line is squarefree
+    ((2, 1), [[0, 0, 1], [1], [1]], 1),
+    # pure-x and pure-y factors: deg_x (or deg_y) conjugate lines
+    ((2, 1), [[1], [1], [0], [1]], 3),
+    ((5, 1), [[2, 0, 1]], 2),
+    ((2, 1), [[1, 1, 0, 1]], 3),
+    ((3, 1), [[1, 0, 1]], 2),
+])
+def test_component_count_degenerate_factors(q_spec, rows, c):
+    F = make_field(*q_spec)
+    G = BPoly.from_grid(F, [[F.element(v) for v in row] for row in rows])
+    assert absolute_component_count(G) == _component_count_oracle(G) == c
 
 
 # ---------------------------------------------------------------------------
