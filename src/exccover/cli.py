@@ -410,7 +410,10 @@ def cmd_analyze(args, config):
         inter_text = len(inter)
         validators = {"intersection_violations": inter_text}
         audit1 = next((a for a in audits if a.m == 1), None)
-        if audit1 is not None and audit1.injective:
+        if audit1 is None:
+            validators["diagonal_bound"] = {
+                "status": "skipped", "reason": "m=1 was not audited"}
+        elif audit1.injective:
             diag = validate_diagonal_bound(report, audit1, config)
             validators["diagonal_bound"] = {"status": "checked",
                                             "violations": len(diag)}

@@ -1,13 +1,19 @@
 """Permutation-group machinery for the orbit and fixed-point criteria.
 
-Groups are materialized by breadth-first closure over their generators:
-the degrees in play are tiny, so explicit element sets are simplest and
-keep every computation deterministic.  The composition convention is
+Every group holds its explicit element set: the degrees in play are
+tiny, so element sets are simplest and keep every computation
+deterministic.  A group given by generators is built by breadth-first
+closure over the generators' image tuples.  The subgroup catalog of S_n
+instead indexes the n! elements once, multiplies through one table and
+holds each subgroup as an int bitmask of element indices; it hands its
+groups out as ordinary ``PermGroup``s.  The composition convention is
 fixed once: (sigma * tau)(s) = sigma(tau(s)), right factor first.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,16 +63,18 @@ class Perm:
     def __mul__(self, other):
         if not isinstance(other, Perm):
             return NotImplemented
-        if other.deg != self.deg:
+        a, b = self.images, other.images
+        if len(a) != len(b):
             raise ValueError("degrees differ")
-        # apply the right factor first
-        return Perm(tuple(self.images[other.images[s]] for s in range(self.deg)))
+        # apply the right factor first; a composition of two permutations
+        # is one, so the result skips the check in __init__
+        return _perm(tuple([a[s] for s in b]))
 
     def inverse(self):
         out = [0] * self.deg
         for s, t in enumerate(self.images):
             out[t] = s
-        return Perm(out)
+        return _perm(tuple(out))
 
     def is_identity(self):
         return all(s == t for s, t in enumerate(self.images))
@@ -120,6 +128,13 @@ class Perm:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
+def _perm(images):
+    """A Perm from an image tuple already known to be a permutation."""
+    p = object.__new__(Perm)
+    p.images = images
+    return p
+
+
 class PermGroup:
     """A permutation group materialized as its full element set."""
 
@@ -130,14 +145,16 @@ class PermGroup:
         for g in gens:
             if g.deg != deg:
                 raise ValueError("generator degree mismatch")
-        elements = {Perm.identity(deg)}
-        frontier = [g for g in gens if g not in elements]
+        # the closure runs on image tuples: c = g * a is c[s] = g[a[s]]
+        images = [g.images for g in gens]
+        elements = {tuple(range(deg))}
+        frontier = [g for g in images if g not in elements]
         elements.update(frontier)
         while frontier:
             new = []
             for a in frontier:
-                for g in gens:
-                    c = g * a
+                for g in images:
+                    c = tuple([g[s] for s in a])
                     if c not in elements:
                         elements.add(c)
                         new.append(c)
@@ -146,7 +163,16 @@ class PermGroup:
             frontier = new
         self.deg = deg
         self.generators = gens
-        self.elements = frozenset(elements)
+        self.elements = frozenset(map(_perm, elements))
+
+    @classmethod
+    def _closed(cls, deg, generators, elements):
+        """A group whose element set is already known to be closed."""
+        G = object.__new__(cls)
+        G.deg = deg
+        G.generators = tuple(generators)
+        G.elements = frozenset(elements)
+        return G
 
     @classmethod
     def symmetric(cls, deg, config=DEFAULT_CONFIG):
@@ -344,56 +370,129 @@ def cycle_type_histogram(spec):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive subgroup catalog for the lemma sweeps.
+# Exhaustive subgroup catalog for the lemma sweeps.  The n! elements of S_n
+# are indexed in sorted image order (identity first), products go through
+# one multiplication table, and a subgroup is the int bitmask of its
+# element indices.
+
+
+def _symmetric_table(n):
+    """(perms, index, mul): the elements of S_n in sorted image order,
+    the index of each image tuple, and mul[i][j], the index of
+    perms[i] * perms[j]."""
+    images = list(itertools.permutations(range(n)))
+    index = {im: i for i, im in enumerate(images)}
+    mul = [[index[tuple([a[s] for s in b])] for b in images]
+           for a in images]
+    return [_perm(im) for im in images], index, mul
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _join(H, gens, mul):
+    """Mask of the group generated by ``gens``, which include generators
+    of the subgroup with mask ``H`` (Dimino): the join is a union of
+    right cosets H r, grown until right multiplication by every
+    generator stays inside it."""
+    elems = _bits(H)
+    K = H
+    reps = [0]
+    for r in reps:
+        for s in gens:
+            t = mul[r][s]
+            if not K >> t & 1:
+                for h in elems:
+                    K |= 1 << mul[h][t]
+                reps.append(t)
+    return K
 
 
 @lru_cache(maxsize=None)
 def all_subgroups_symmetric(n):
     """Every subgroup of the symmetric group on n points (not just up to
-    conjugacy), generated internally by closure of element subsets."""
-    sym = PermGroup.symmetric(n)
-    all_elements = sorted(sym.elements, key=lambda p: p.images)
-    trivial = PermGroup(n, ())
-    known = {trivial.elements: trivial}
-    frontier = [trivial]
+    conjugacy), sorted by order and then by sorted element images.
+
+    Neubüser's cyclic-extension method: starting from the trivial group,
+    each subgroup found is joined with one generator of every cyclic
+    subgroup it does not contain, until no join is new.  The (n!)^2
+    multiplication table must fit the enumeration cap, so n <= 6."""
+    size = math.factorial(n)
+    if size * size > DEFAULT_CONFIG.enumeration_cap:
+        raise CapExceeded(
+            f"the multiplication table of S_{n} has {size}^2 entries, "
+            f"over the enumeration cap {DEFAULT_CONFIG.enumeration_cap}")
+    perms, _, mul = _symmetric_table(n)
+    cyclic = {}  # mask of <g> -> the first g generating it
+    for g in range(size):
+        mask, power = 1, g
+        while power:
+            mask |= 1 << power
+            power = mul[power][g]
+        cyclic.setdefault(mask, g)
+    known = {1: ()}  # subgroup mask -> indices of its generators
+    frontier = [1]
     while frontier:
         new = []
         for H in frontier:
-            for g in all_elements:
-                if g in H.elements:
+            for C, g in cyclic.items():
+                if C & ~H == 0:
                     continue
-                K = PermGroup(n, tuple(H.generators) + (g,))
-                if K.elements not in known:
-                    known[K.elements] = K
+                gens = known[H] + (g,)
+                K = _join(H, gens, mul)
+                if K not in known:
+                    known[K] = gens
                     new.append(K)
         frontier = new
-    return tuple(sorted(known.values(),
-                        key=lambda G: (G.order,
-                                       sorted(p.images for p in G.elements))))
+    order = sorted(known, key=lambda K: (K.bit_count(), _bits(K)))
+    return tuple(PermGroup._closed(n, [perms[i] for i in known[K]],
+                                   [perms[i] for i in _bits(K)])
+                 for K in order)
 
 
 def cyclic_quotient_chains(n):
     """All (A, G, generating coset reps) with G normal in A inside the
     symmetric group on n points and A/G cyclic.
 
-    One representative per generating coset is returned."""
+    One representative per generating coset is returned, the first of
+    its coset in sorted image order."""
     subgroups = all_subgroups_symmetric(n)
+    perms, index, mul = _symmetric_table(n)
+    inv = [row.index(0) for row in mul]
+    masks = [sum(1 << index[p.images] for p in G.elements) for G in subgroups]
+    gens = [[index[p.images] for p in G.generators] for G in subgroups]
     chains = []
-    for A in subgroups:
-        inner = [G for G in subgroups if G <= A]
-        for G in inner:
-            if not G.is_normal_in(A):
+    for A, A_mask, A_gens in zip(subgroups, masks, gens):
+        for G, G_mask, G_gens in zip(subgroups, masks, gens):
+            if G_mask & ~A_mask:
                 continue
-            index = A.order // G.order
+            # normal: conjugating G's generators by A's stays in G
+            if not all(G_mask >> mul[mul[a][h]][inv[a]] & 1
+                       for a in A_gens for h in G_gens):
+                continue
+            quotient = A.order // G.order
+            G_elems = _bits(G_mask)
             reps = []
-            seen_cosets = set()
-            for a in sorted(A.elements, key=lambda p: p.images):
-                coset = frozenset(a * g for g in G.elements)
-                if coset in seen_cosets:
+            covered = 0  # union of the cosets aG walked so far
+            for a in _bits(A_mask):
+                if covered >> a & 1:
                     continue
-                seen_cosets.add(coset)
-                if coset_order(A, G, a) == index:
-                    reps.append(a)
+                row = mul[a]
+                for g in G_elems:
+                    covered |= 1 << row[g]
+                power, order = a, 1
+                while not G_mask >> power & 1:
+                    power = mul[power][a]
+                    order += 1
+                if order == quotient:
+                    reps.append(perms[a])
             if reps:
                 chains.append((A, G, reps))
     return chains

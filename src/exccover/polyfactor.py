@@ -833,7 +833,14 @@ def _hensel_factor_squarefree(W, config):
             x0 = cand
             break
     if x0 is None:
-        for e in itertools.count(2):
+        # bad lines are roots of lc_y(W) * disc_y(W), of x-degree at most
+        # (2 deg_y - 1) deg_x, so every field with more elements has a
+        # good line
+        bad_degree = (2 * n - 1) * W.deg_x
+        last = 2
+        while fld.order ** last <= bad_degree:
+            last += 1
+        for e in range(2, last + 1):
             ext, emb = extension(fld, e)
             We = W.map_coefficients(emb, ext)
             x0e = None
@@ -845,6 +852,9 @@ def _hensel_factor_squarefree(W, config):
                 continue
             ext_factors = _hensel_at_line(We, x0e, config)
             return _merge_frobenius_orbits(ext_factors, fld, emb)
+        raise ValueError(
+            f"no specialization line keeps W squarefree over F_{fld.order}^e "
+            f"for e <= {last}; W is not squarefree and separable in y")
     return _hensel_at_line(W, x0, config)
 
 

@@ -244,6 +244,20 @@ def test_analyze_skips_validators_above_point_pair_cap(capsys):
             "diagonal bound=skipped") in out
 
 
+@pytest.mark.parametrize("p, m, reason", [
+    ("5", "2", "m=1 was not audited"),          # x^3 is bijective on F_5
+    ("7", "1", "map is not injective at m=1"),  # 3 | 7 - 1
+])
+def test_analyze_diagonal_bound_skip_reason(capsys, p, m, reason):
+    code, out, _ = run(capsys, ["--json", "analyze", "--p", p, "--num", "x^3",
+                                "--den", "1", "--m", m])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert [a["m"] for a in res["audits"]] == [int(m)]
+    assert res["validators"]["diagonal_bound"] == {"status": "skipped",
+                                                   "reason": reason}
+
+
 def test_analyze_refuses_over_cap_map_before_fiber_product(capsys, monkeypatch):
     import exccover.excep
 

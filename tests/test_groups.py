@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,90 @@ def test_conditions_agree_exhaustively_small_degrees():
             for a in reps:
                 cond = exceptionality_conditions(CosetSpec(A, G, a))
                 assert cond.agree, (n, A, G, a)
+
+
+# ---------------------------------------------------------------------------
+# The table-driven catalog against plain closure over Perm products.
+
+
+def _closure_catalog(n):
+    """Element sets of every subgroup of S_n, sorted as the catalog sorts
+    them, found by joining each known subgroup with each element outside
+    it through PermGroup closure."""
+    elements = sorted(PermGroup.symmetric(n).elements, key=lambda p: p.images)
+    trivial = PermGroup(n, ())
+    known = {trivial.elements}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for H in frontier:
+            for g in elements:
+                if g not in H:
+                    K = PermGroup(n, H.generators + (g,))
+                    if K.elements not in known:
+                        known.add(K.elements)
+                        new.append(K)
+        frontier = new
+    return sorted((sorted(p.images for p in E) for E in known),
+                  key=lambda images: (len(images), images))
+
+
+def _closure_chains(n, subgroups):
+    """cyclic_quotient_chains by Perm products, as element image lists."""
+    out = []
+    for A in subgroups:
+        for G in subgroups:
+            if not G.is_normal_in(A):
+                continue
+            reps, seen = [], set()
+            for a in sorted(A.elements, key=lambda p: p.images):
+                coset = frozenset(a * g for g in G.elements)
+                if coset not in seen:
+                    seen.add(coset)
+                    if coset_order(A, G, a) == A.order // G.order:
+                        reps.append(a.images)
+            if reps:
+                out.append((A.order, G.order, reps))
+    return out
+
+
+def test_catalog_order_histogram_s5():
+    hist = {}
+    for G in all_subgroups_symmetric(5):
+        hist[G.order] = hist.get(G.order, 0) + 1
+    assert sum(hist.values()) == 156
+    assert hist == {1: 1, 2: 25, 3: 10, 4: 35, 5: 6, 6: 30, 8: 15, 10: 6,
+                    12: 15, 20: 6, 24: 5, 60: 1, 120: 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_catalog_matches_closure_oracle(n):
+    subgroups = all_subgroups_symmetric(n)
+    assert [sorted(p.images for p in G.elements)
+            for G in subgroups] == _closure_catalog(n)
+    assert [(A.order, G.order, [a.images for a in reps])
+            for A, G, reps in cyclic_quotient_chains(n)] \
+        == _closure_chains(n, subgroups)
+
+
+def test_catalog_generators_regenerate_each_group():
+    for n in range(1, 6):
+        for G in all_subgroups_symmetric(n):
+            assert PermGroup(n, G.generators) == G
+
+
+def test_catalog_closed_under_conjugation():
+    for n in range(2, 6):
+        catalog = {G.elements for G in all_subgroups_symmetric(n)}
+        for s in PermGroup.symmetric(n).generators:
+            s_inv = s.inverse()
+            for E in catalog:
+                assert frozenset(s * g * s_inv for g in E) in catalog
+
+
+def test_catalog_refuses_table_over_enumeration_cap():
+    # (7!)^2 table entries exceed the default cap 2^22; nothing is built
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        all_subgroups_symmetric(7)
+    assert time.perf_counter() - start < 1.0

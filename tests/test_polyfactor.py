@@ -689,6 +689,18 @@ def test_component_count_degenerate_factors(q_spec, rows, c):
     assert absolute_component_count(G) == _component_count_oracle(G) == c
 
 
+def test_hensel_extension_search_is_bounded(monkeypatch, extension_degrees):
+    # With no good line anywhere the search stops at the first F_{2^e}
+    # with more than (2 deg_y - 1) deg_x = 3 elements, instead of looping.
+    monkeypatch.setattr(polyfactor, "_specialization_ok", lambda W, x0: None)
+    F2 = make_field(2)
+    W = BPoly.from_grid(F2, [[F2.element(v) for v in row]
+                             for row in [[1, 0, 1], [0, 1]]])  # y^2 + xy + 1
+    with pytest.raises(ValueError, match="e <= 2"):
+        polyfactor._hensel_factor_squarefree(W, Config())
+    assert extension_degrees == [2]
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle: sympy's univariate factoring over F_p.
 
