@@ -273,10 +273,16 @@ class CosetSpec:
         return [self.rep * g for g in self.normal.elements]
 
     def qualifying_reps(self):
-        """All a' in A whose coset generates A/G."""
-        A, G = self.ambient, self.normal
-        index = A.order // G.order
-        return [x for x in A.elements if coset_order(A, G, x) == index]
+        """All a' in A whose coset generates A/G: the cosets rep^j G with
+        j prime to the index, since rep generates the cyclic quotient."""
+        index = self.ambient.order // self.normal.order
+        out = []
+        power = self.rep
+        for j in range(1, index + 1):
+            if math.gcd(j, index) == 1:
+                out.extend(power * g for g in self.normal.elements)
+            power = power * self.rep
+        return out
 
 
 def coset_order(A, G, a):

@@ -8,9 +8,14 @@ BPoly is a polynomial in y over F_q[x] whose coefficients are UPolys.
 
 The univariate factorizer is the classical squarefree / distinct-degree /
 equal-degree pipeline with a configuration-fixed seed for the randomized
-splits.  The bivariate factorizer specializes along a line, factors the
-specialization, Hensel-lifts to twice the x-degree bound, and recombines
-by exhaustive subset search with exact trial division.
+splits.  The bivariate factorizer splits off the content in x and takes
+the first good line x = x0 of the primitive part P: one that keeps deg_y
+and leaves P(x0, y) squarefree.  Such a line certifies that P is
+squarefree and separable in y, so P is factored at once: the
+specialization is factored, Hensel-lifted to twice the x-degree bound,
+and recombined by exhaustive subset search with exact trial division.
+Only when no F_q-line is good does a bivariate gcd chain split P into
+squarefree, y-separable parts first.
 
 The component count of an F_q-irreducible factor is bounded first: it
 divides gcd(deg_x, deg_y) and every factor degree of the factor's
@@ -592,14 +597,6 @@ class BPoly(_Dense):
 
     # -- transforms ------------------------------------------------------------------
 
-    def swap_vars(self):
-        """Exchange the roles of x and y."""
-        nx, ny = self.deg_x + 1, self.deg_y + 1
-        return BPoly(self.field, [
-            UPoly(self.field, [self.coefficient(i, j) for j in range(ny)])
-            for i in range(nx)
-        ])
-
     def substitute_x(self, x0):
         """UPoly in y obtained by fixing x = x0."""
         x0 = self.field.element(x0)
@@ -629,26 +626,6 @@ class BPoly(_Dense):
         if lead.to_int() == 1:
             return self
         return self * lead.inverse()
-
-    def eval_proj(self, P, Q):
-        """Value of the bihomogenization at a pair of projective points.
-
-        P and Q are ProjPoint-like objects exposing ``is_infinity`` and
-        ``x``; the zero set of this evaluation is the closure of the
-        affine curve inside the product of two projective lines.
-        """
-        dx, dy = self.deg_x, self.deg_y
-        fld = self.field
-        if not P.is_infinity and not Q.is_infinity:
-            return self.evaluate(P.x, Q.x)
-        if P.is_infinity and Q.is_infinity:
-            return self.coefficient(dx, dy)
-        if P.is_infinity:
-            # only the x-leading terms survive
-            return UPoly(fld, [self.coefficient(dx, j) for j in range(dy + 1)]
-                         ).evaluate(Q.x)
-        return UPoly(fld, [self.coefficient(i, dy) for i in range(dx + 1)]
-                     ).evaluate(P.x)
 
 
 def content_y(F):
@@ -685,24 +662,14 @@ def bpoly_div_exact(F, G):
 
 
 def _prem_y(A, B):
-    """Pseudo-remainder of A by B in (F_q[x])[y]."""
-    da, db = A.deg_y, B.deg_y
-    if da < db:
+    """Pseudo-remainder of A by B in (F_q[x])[y]: the remainder of
+    lc_y(B)^(delta + 1) * A with delta = deg_y A - deg_y B, whose quotient
+    by B has coefficients in F_q[x]."""
+    if A.deg_y < B.deg_y:
         return A
     lb = B.coeffs[-1]
-    rem = list(A.coeffs)
-    for _ in range(da - db + 1):
-        if len(rem) - 1 < db:
-            break
-        lead = rem[-1]
-        rem = [c * lb for c in rem]
-        off = len(rem) - 1 - db
-        for i in range(db + 1):
-            rem[off + i] = rem[off + i] - lead * B.coeffs[i]
-        rem.pop()
-        while rem and rem[-1].is_zero():
-            rem.pop()
-    return BPoly(A.field, rem)
+    scaled = A * lb ** (A.deg_y - B.deg_y + 1)
+    return scaled._divide(B, lambda c: c // lb)[1]
 
 
 def bgcd(F, G):
@@ -752,21 +719,15 @@ def _series_inverse(u, prec):
     return UPoly(fld, out)
 
 
-def _ylist_mul_trunc(a, b, prec, fld):
-    zero = UPoly.zero(fld)
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai.is_zero():
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj).truncate(prec)
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
+def _truncate_x(F, prec):
+    """F modulo x^prec."""
+    return BPoly(F.field, [c.truncate(prec) for c in F.coeffs])
 
 
-def _hensel_lift_factors(Wstar_list, u_factors, prec, fld):
+def _hensel_lift_factors(Wstar, u_factors, prec):
     """Lift monic coprime u_i over F_q to monic factors of the monic
     series polynomial Wstar modulo x^prec."""
+    fld = Wstar.field
     r = len(u_factors)
     # Bezout data: lam_i * prod_{l != i} u_l = 1 mod u_i
     lams = []
@@ -777,31 +738,20 @@ def _hensel_lift_factors(Wstar_list, u_factors, prec, fld):
                 rest = (rest * u_factors[l]) % u_factors[i]
         _, s, _ = upoly_ext_gcd(rest, u_factors[i])
         lams.append(s % u_factors[i])
-    lifted = [[UPoly.constant(fld, c) for c in u.coeffs] for u in u_factors]
+    lifted = [BPoly.from_y_poly(u) for u in u_factors]
     for j in range(1, prec):
-        prod = [UPoly.one(fld)]
+        prod = BPoly.one(fld)
         for w in lifted:
-            prod = _ylist_mul_trunc(prod, w, prec, fld)
+            prod = _truncate_x(prod * w, prec)
         # error coefficient at x^j as a polynomial in y
-        ecs = []
-        for t in range(len(Wstar_list)):
-            wc = Wstar_list[t] if t < len(Wstar_list) else UPoly.zero(fld)
-            pc = prod[t] if t < len(prod) else UPoly.zero(fld)
-            ecs.append((wc - pc).coefficient(j))
-        e_j = UPoly(fld, ecs)
+        e_j = UPoly(fld, [c.coefficient(j) for c in (Wstar - prod).coeffs])
         if e_j.is_zero():
             continue
+        xj = UPoly(fld, [0] * j + [1])
         for i in range(r):
             delta = (lams[i] * e_j) % u_factors[i]
-            if delta.is_zero():
-                continue
-            w = lifted[i]
-            for t, dc in enumerate(delta.coeffs):
-                if not dc.is_zero():
-                    base = w[t] if t < len(w) else UPoly.zero(fld)
-                    cs = list(base.coeffs) + [fld.zero()] * (j + 1 - len(base.coeffs))
-                    cs[j] = cs[j] + dc
-                    w[t] = UPoly(fld, cs)
+            if not delta.is_zero():
+                lifted[i] = lifted[i] + BPoly.from_y_poly(delta) * xj
     return lifted
 
 
@@ -819,43 +769,40 @@ def _frobenius_bpoly(F, power):
     return F.map_coefficients(lambda c: c ** power, F.field)
 
 
+def _good_lines(W):
+    """(x0, W(x0, y)) for each line x = x0 over W's field, in enumeration
+    order, that keeps deg_y and leaves W(x0, y) squarefree."""
+    for x0 in W.field.elements():
+        u = _specialization_ok(W, x0)
+        if u is not None:
+            yield x0, u
+
+
 def _hensel_factor_squarefree(W, config):
     """Irreducible factors of W: primitive, squarefree, separable in y."""
     fld = W.field
     n = W.deg_y
     if n == 1:
         return [W.canonical()]
-    # pick the first specialization line that preserves degree and
-    # squarefreeness; extend the base field when no line works
-    x0 = None
-    for cand in fld.elements():
-        if _specialization_ok(W, cand) is not None:
-            x0 = cand
-            break
-    if x0 is None:
-        # bad lines are roots of lc_y(W) * disc_y(W), of x-degree at most
-        # (2 deg_y - 1) deg_x, so every field with more elements has a
-        # good line
-        bad_degree = (2 * n - 1) * W.deg_x
-        last = 2
-        while fld.order ** last <= bad_degree:
-            last += 1
-        for e in range(2, last + 1):
-            ext, emb = extension(fld, e)
-            We = W.map_coefficients(emb, ext)
-            x0e = None
-            for cand in ext.elements():
-                if _specialization_ok(We, cand) is not None:
-                    x0e = cand
-                    break
-            if x0e is None:
-                continue
-            ext_factors = _hensel_at_line(We, x0e, config)
+    line = next(_good_lines(W), None)
+    if line is not None:
+        return _hensel_at_line(W, line[0], config)
+    # bad lines are roots of lc_y(W) * disc_y(W), of x-degree at most
+    # (2 deg_y - 1) deg_x, so every field with more elements has a good line
+    bad_degree = (2 * n - 1) * W.deg_x
+    last = 2
+    while fld.order ** last <= bad_degree:
+        last += 1
+    for e in range(2, last + 1):
+        ext, emb = extension(fld, e)
+        We = W.map_coefficients(emb, ext)
+        line = next(_good_lines(We), None)
+        if line is not None:
+            ext_factors = _hensel_at_line(We, line[0], config)
             return _merge_frobenius_orbits(ext_factors, fld, emb)
-        raise ValueError(
-            f"no specialization line keeps W squarefree over F_{fld.order}^e "
-            f"for e <= {last}; W is not squarefree and separable in y")
-    return _hensel_at_line(W, x0, config)
+    raise ValueError(
+        f"no specialization line keeps W squarefree over F_{fld.order}^e "
+        f"for e <= {last}; W is not squarefree and separable in y")
 
 
 def _merge_frobenius_orbits(ext_factors, base_field, emb):
@@ -898,16 +845,13 @@ def _hensel_at_line(W, x0, config):
     dx = max(W.deg_x, 0)
     prec = 2 * dx + 1
     Ws = W.shift_x(x0)
-    lcy = Ws.coeffs[-1]
-    linv = _series_inverse(lcy, prec)
-    wstar = [(c * linv).truncate(prec) for c in Ws.coeffs]
-    wstar[-1] = UPoly.one(fld)
-    u = UPoly(fld, [c.coefficient(0) for c in wstar])
-    cert = factor_univariate(u, config)
+    # monic in y modulo x^prec
+    Wstar = _truncate_x(Ws * _series_inverse(Ws.coeffs[-1], prec), prec)
+    cert = factor_univariate(Wstar.substitute_x(0), config)
     u_factors = [g for g, _ in cert.factors]
     if len(u_factors) == 1:
         return [W.canonical()]
-    lifted = _hensel_lift_factors(wstar, u_factors, prec, fld)
+    lifted = _hensel_lift_factors(Wstar, u_factors, prec)
     active = list(range(len(u_factors)))
     remaining = Ws
     found = []
@@ -916,10 +860,9 @@ def _hensel_at_line(W, x0, config):
         progress = False
         for size in range(1, len(active)):
             for subset in itertools.combinations(active, size):
-                cand = [remaining.coeffs[-1].truncate(prec)]
+                H = BPoly.from_x_poly(remaining.coeffs[-1].truncate(prec))
                 for i in subset:
-                    cand = _ylist_mul_trunc(cand, lifted[i], prec, fld)
-                H = BPoly(fld, cand)
+                    H = _truncate_x(H * lifted[i], prec)
                 H = primitive_part_y(H).canonical()
                 # the candidate must specialize to exactly its subset
                 spec = H.substitute_x(fld.zero())
@@ -946,7 +889,16 @@ def _hensel_at_line(W, x0, config):
 
 
 def _distinct_bivariate_factors(F, config):
-    """Set of canonical irreducible factors of a nonconstant BPoly."""
+    """Set of canonical irreducible factors of a nonconstant BPoly.
+
+    The content in x is factored as a univariate polynomial.  The first
+    good line x = x0 of the primitive part P certifies that P is
+    squarefree and separable in y: a square factor, or a factor in y^p,
+    would survive on the line as a square or as a p-th power.  P then goes
+    straight to the Hensel lift at x0.  Only when no F_q-line is good does
+    the bivariate gcd chain split P into squarefree, y-separable parts and
+    a p-th power residue first.
+    """
     fld = F.field
     out = set()
     if F.deg_y == 0:
@@ -962,6 +914,10 @@ def _distinct_bivariate_factors(F, config):
         out.update(BPoly.from_x_poly(g).canonical() for g, _ in cert.factors)
     P = primitive_part_y(F)
     if P.deg_y == 0:
+        return out
+    line = next(_good_lines(P), None)
+    if line is not None:
+        out.update(_hensel_at_line(P, line[0], config))
         return out
     Px, Py = P.derivative_x(), P.derivative_y()
     if Px.is_zero() and Py.is_zero():
@@ -995,10 +951,6 @@ def _factor_squarefree_primitive(W, config):
     """Irreducible factors of a squarefree primitive W with deg_y >= 1,
     allowing y-inseparable factors."""
     fld = W.field
-    out = set()
-    if W.deg_y == 0:
-        cert = factor_univariate(W.coeffs[0], config)
-        return {BPoly.from_x_poly(g).canonical() for g, _ in cert.factors}
     Wy = W.derivative_y()
     if Wy.is_zero():
         V = _compress_y(W)
@@ -1014,17 +966,14 @@ def _factor_squarefree_primitive(W, config):
             expanded.add(BPoly(fld, ycs).canonical())
         return expanded
     A = bgcd(W, Wy)
-    if A.total_degree > 0:
-        W1 = bpoly_div_exact(W, A)
-        assert W1 is not None
-        out.update(_factor_squarefree_primitive(A.canonical(), config))
-        if W1.deg_y >= 1:
-            out.update(_hensel_factor_squarefree(primitive_part_y(W1).canonical(),
-                                                 config))
-        elif W1.total_degree > 0:
-            out.update(_distinct_bivariate_factors(W1, config))
-        return out
-    out.update(_hensel_factor_squarefree(W, config))
+    if A.total_degree == 0:
+        return set(_hensel_factor_squarefree(W, config))
+    # A is the product of the factors in y^p; W / A divides W, so it is
+    # primitive, and it keeps deg_y >= 1 because W does not divide W_y
+    W1 = bpoly_div_exact(W, A)
+    assert W1 is not None
+    out = _factor_squarefree_primitive(A.canonical(), config)
+    out.update(_hensel_factor_squarefree(W1.canonical(), config))
     return out
 
 
@@ -1095,14 +1044,9 @@ def absolute_component_count(G, config=DEFAULT_CONFIG):
     # with a zero y-derivative no line gives a squarefree G(x0, y) of
     # positive degree
     if e > 1 and not G.derivative_y().is_zero():
-        good = 0
-        for x0 in G.field.elements():
-            u = _specialization_ok(G, x0)
-            if u is None:
-                continue
+        for _, u in itertools.islice(_good_lines(G), _BOUND_LINES):
             e = gcd(e, *splitting_type(u))
-            good += 1
-            if e == 1 or good == _BOUND_LINES:
+            if e == 1:
                 break
     if e == 1:
         return 1

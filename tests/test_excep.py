@@ -42,6 +42,31 @@ def prime_powers_upto(limit):
     return out
 
 
+def swap_vars(F):
+    """Oracle: F with the roles of x and y exchanged."""
+    nx, ny = F.deg_x + 1, F.deg_y + 1
+    return BPoly(F.field, [
+        UPoly(F.field, [F.coefficient(i, j) for j in range(ny)])
+        for i in range(nx)
+    ])
+
+
+def eval_proj(F, P, Q):
+    """Oracle: the bihomogenization of F at a pair of projective points,
+    whose zero set is the closure of the affine curve in P^1 x P^1."""
+    dx, dy = F.deg_x, F.deg_y
+    if not P.is_infinity and not Q.is_infinity:
+        return F.evaluate(P.x, Q.x)
+    if P.is_infinity and Q.is_infinity:
+        return F.coefficient(dx, dy)
+    if P.is_infinity:
+        # only the x-leading terms survive
+        return UPoly(F.field, [F.coefficient(dx, j) for j in range(dy + 1)]
+                     ).evaluate(Q.x)
+    return UPoly(F.field, [F.coefficient(i, dy) for i in range(dx + 1)]
+                 ).evaluate(P.x)
+
+
 def fin(field, v):
     return ProjPoint.finite(field.element(v))
 
@@ -99,7 +124,7 @@ def test_fiber_product_symmetry_and_degree():
         phi = fiber_product_poly(f)
         assert phi.deg_x == f.degree - 1
         assert phi.deg_y == f.degree - 1
-        assert phi.swap_vars() == phi
+        assert swap_vars(phi) == phi
 
 
 def test_fiber_product_rejects_inseparable():
@@ -303,7 +328,7 @@ def test_diagonal_bound_examples():
     allp = [ProjPoint.finite(x) for x in F5.elements()] + [INFINITY]
     for P in allp:
         for Q in allp:
-            if G.eval_proj(P, Q).is_zero():
+            if eval_proj(G, P, Q).is_zero():
                 pts += 1
     assert pts == count
 

@@ -701,6 +701,42 @@ def test_hensel_extension_search_is_bounded(monkeypatch, extension_degrees):
     assert extension_degrees == [2]
 
 
+def test_good_line_factors_without_gcd_chain(monkeypatch):
+    # Phi of both quintics is F_q-irreducible and has a good F_q-line, so
+    # it is factored at that line and the bivariate gcd chain never runs.
+    def no_gcd(F, G):
+        raise AssertionError("bgcd called although a good line exists")
+
+    monkeypatch.setattr(polyfactor, "bgcd", no_gcd)
+    for f in (quintic_twist_map(make_field(13)),
+              quintic_pair_map(make_field(17), 10, 3)):
+        phi = fiber_product_poly(f)
+        cert = factor_bivariate(phi)
+        assert cert.factors == ((phi.canonical(), 1),)
+        assert cert.unit == phi.coefficient(phi.deg_x, phi.deg_y)
+        assert cert.product() == phi
+
+
+def test_fallback_matches_good_line_path():
+    # On squarefree primitive P with a good F_q-line, the gcd-chain
+    # fallback and the good-line path find the same factors.
+    cfg = Config()
+    rng = random.Random(8)
+    checked = 0
+    for p in (5, 7):
+        F = make_field(p)
+        for _ in range(12):
+            P = rand_bpoly(F, rng.randrange(1, 3), rng.randrange(1, 3), rng)
+            P = P * rand_bpoly(F, rng.randrange(0, 3), rng.randrange(1, 3), rng)
+            if (P.is_zero() or content_y(P).degree != 0
+                    or next(polyfactor._good_lines(P), None) is None):
+                continue
+            fast = polyfactor._distinct_bivariate_factors(P, cfg)
+            assert polyfactor._factor_squarefree_primitive(P.canonical(), cfg) == fast
+            checked += 1
+    assert checked >= 16
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle: sympy's univariate factoring over F_p.
 

@@ -1,5 +1,6 @@
 """Property tests for the arithmetic kernels: permutation products, field
-axioms and univariate division, on inputs drawn by hypothesis."""
+axioms, univariate division and bivariate factoring, on inputs drawn by
+hypothesis."""
 
 import pytest
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from exccover.errors import DivisionByZero
 from exccover.gf import make_field
 from exccover.groups import Perm
-from exccover.polyfactor import UPoly, upoly_gcd
+from exccover.polyfactor import BPoly, UPoly, factor_bivariate, upoly_gcd
 
 # Derandomized and without an example database, so every run draws the
 # same examples.
@@ -35,6 +36,33 @@ def perm_triples(draw):
 def field_triples(draw):
     F = make_field(*draw(st.sampled_from(FIELDS)))
     return [F.from_int(draw(st.integers(0, F.order - 1))) for _ in range(3)]
+
+
+# Products with a square, a factor in y^p or a p-th power have no good
+# line, so they are factored through the bivariate gcd chain.
+FACTOR = settings(max_examples=40, deadline=None, derandomize=True,
+                  database=None)
+
+
+def _bpoly(draw, F, dx, dy):
+    return BPoly.from_grid(F, [[F.from_int(draw(st.integers(0, F.order - 1)))
+                                for _ in range(dy + 1)] for _ in range(dx + 1)])
+
+
+@st.composite
+def products_without_good_line(draw):
+    F = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    p = F.p
+    A = _bpoly(draw, F, 1, 1)
+    C = _bpoly(draw, F, 1, 1)
+    kind = draw(st.sampled_from(["square", "y^p", "p-th power"]))
+    if kind == "square":
+        return A * C * C
+    if kind == "y^p":
+        # C(x, y^p)
+        return A * BPoly(F, [C.coeffs[j // p] if j % p == 0 else UPoly.zero(F)
+                             for j in range(p * C.deg_y + 1)])
+    return A * C ** p
 
 
 @st.composite
@@ -99,3 +127,13 @@ def test_upoly_divmod_and_gcd(polys):
         assert (f % d).is_zero() and (g % d).is_zero()
         if not c.is_zero():
             assert (d % c).is_zero()  # the common factor divides the gcd
+
+
+@FACTOR
+@given(products_without_good_line())
+def test_factor_bivariate_multiplies_back(f):
+    if f.is_zero():
+        return
+    cert = factor_bivariate(f)
+    assert cert.product() == f
+    assert all(m >= 1 and g.total_degree >= 1 for g, m in cert.factors)
