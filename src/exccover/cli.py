@@ -15,7 +15,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
 
 from . import __version__
 from .config import Config, DEFAULT_CONFIG
@@ -95,7 +94,6 @@ class _PolyParser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.field = field
-        self.textlen = len(text)
 
     def peek(self):
         return self.toks[self.pos]
@@ -163,7 +161,7 @@ class _PolyParser:
             coeff, exp = self.parse_term()
             if sign < 0:
                 coeff = -coeff
-            acc[exp] = acc.get(exp, self.field.zero()) + coeff
+            acc[exp] = acc.get(exp, 0) + coeff
             kind, _, offset = self.peek()
             if kind == "end":
                 break
@@ -171,8 +169,7 @@ class _PolyParser:
                 raise ParseError("expected '+' or '-'", offset)
             sign = -1 if self.take()[0] == "-" else 1
         deg = max(acc) if acc else 0
-        return UPoly(self.field, [acc.get(i, self.field.zero())
-                                  for i in range(deg + 1)])
+        return UPoly(self.field, [acc.get(i, 0) for i in range(deg + 1)])
 
 
 def parse_poly(text, field):
@@ -180,36 +177,22 @@ def parse_poly(text, field):
     return _PolyParser(text, field).parse()
 
 
-def _coeff_str(c, gen_pows):
+def _coeff_str(c):
     if c.in_prime_subfield():
-        return str(c.coeffs[0])
-    return f"g^{gen_pows[c]}"
-
-
-@lru_cache(maxsize=8)
-def _gen_powers(field):
-    """Discrete-log table for the printer of non-prime-field coefficients,
-    built once per field (the printer only reads it)."""
-    g = field.multiplicative_generator()
-    table = {}
-    acc = field.one()
-    for j in range(field.order - 1):
-        table.setdefault(acc, j)
-        acc = acc * g
-    return table
+        return str(c.code)
+    return f"g^{c.field.log(c.code)}"
 
 
 def poly_to_str(f):
     """Canonical grammar string; parse(poly_to_str(f)) == f."""
     if f.is_zero():
         return "0"
-    gen_pows = _gen_powers(f.field) if f.field.k > 1 else None
     parts = []
     for i in range(f.degree, -1, -1):
         c = f.coefficient(i)
         if c.is_zero():
             continue
-        cs = _coeff_str(c, gen_pows)
+        cs = _coeff_str(c)
         if i == 0:
             parts.append(cs)
         else:
@@ -222,7 +205,6 @@ def bpoly_to_str(F):
     """Human-readable bivariate rendering (output only)."""
     if F.is_zero():
         return "0"
-    gen_pows = _gen_powers(F.field) if F.field.k > 1 else None
     terms = []
     for j in range(F.deg_y, -1, -1):
         for i in range(F.deg_x, -1, -1):
@@ -236,7 +218,7 @@ def bpoly_to_str(F):
     for _, i, j, c in terms:
         bits = []
         if c != one or (i == 0 and j == 0):
-            bits.append(_coeff_str(c, gen_pows))
+            bits.append(_coeff_str(c))
         if i:
             bits.append("x" if i == 1 else f"x^{i}")
         if j:
@@ -592,12 +574,26 @@ def cmd_superelliptic(args, config):
 
 def _coeff_text(c):
     if c.in_prime_subfield():
-        return str(c.coeffs[0])
+        return str(c.code)
     return f"[{','.join(str(v) for v in c.coeffs)}]"
 
 
 def cmd_groups(args, config):
     spec = load_group_spec(args.spec, config)
+    # the conditions run first: their qualifying elements are dropped
+    # before the coset is built, once, and kept on the spec
+    try:
+        cond = exceptionality_conditions(spec)
+        conditions = {
+            "diagonal_only_common_orbit": cond.diagonal_only_common_orbit,
+            "all_unique_fixed_point": cond.all_unique_fixed_point,
+            "all_at_most_one": cond.all_at_most_one,
+            "all_at_least_one": cond.all_at_least_one,
+            "agree": cond.agree,
+        }
+    except NotTransitive:
+        conditions = {"status": "skipped",
+                      "reason": "normal subgroup is not transitive"}
     lhs_p, rhs_p = fixed_point_identity(spec, "points")
     lhs_q, rhs_q = fixed_point_identity(spec, "ordered_pairs")
     hist = cycle_type_histogram(spec)
@@ -617,19 +613,8 @@ def cmd_groups(args, config):
             {"type": list(t), "frequency": frac_json(fr)}
             for t, fr in hist.items()
         ],
+        "conditions": conditions,
     }
-    try:
-        cond = exceptionality_conditions(spec)
-        results["conditions"] = {
-            "diagonal_only_common_orbit": cond.diagonal_only_common_orbit,
-            "all_unique_fixed_point": cond.all_unique_fixed_point,
-            "all_at_most_one": cond.all_at_most_one,
-            "all_at_least_one": cond.all_at_least_one,
-            "agree": cond.agree,
-        }
-    except NotTransitive:
-        results["conditions"] = {"status": "skipped",
-                                 "reason": "normal subgroup is not transitive"}
     lines = [
         f"degree {spec.ambient.deg}: |A| = {spec.ambient.order}, "
         f"|G| = {spec.normal.order}, a = {spec.rep!r}",

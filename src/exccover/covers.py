@@ -231,18 +231,14 @@ def audit_rational_map(f, m, config=DEFAULT_CONFIG, exclude_branch_fibers=False)
     """Exhaustive fiber audit of a rational self-map over F_{q^m}."""
     ext, emb = _extension_for(f.field, m, config)
     fe = f.over(emb)
-    ncs, dcs = fe.num.coeffs, fe.den.coeffs
-    zero = ext.zero()
-    fibers = {}
-    for x in ext.elements():
-        pv = zero
-        for c in reversed(ncs):
-            pv = pv * x + c
-        rv = zero
-        for c in reversed(dcs):
-            rv = rv * x + c
-        img = INFINITY if rv.is_zero() else ProjPoint.finite(pv / rv)
-        fibers[img] = fibers.get(img, 0) + 1
+    num, den, mul, inv = fe.num, fe.den, ext.mul, ext.inv
+    counts = {}  # image code -> fiber size; None is infinity
+    for x in range(ext.order):
+        rv = den._at(x)
+        img = mul(num._at(x), inv(rv)) if rv else None
+        counts[img] = counts.get(img, 0) + 1
+    fibers = {ProjPoint(c if c is None else Fel(ext, c)): v
+              for c, v in counts.items()}
     fibers[INFINITY] = fibers.get(INFINITY, 0) + 1  # infinity maps to infinity
     excluded = None
     if exclude_branch_fibers:
@@ -412,10 +408,10 @@ def audit_superelliptic(cover, m, config=DEFAULT_CONFIG):
     ge = emb(cover.gamma)
     fibers = {}
     n = cover.n
-    for x0 in ext.elements():
-        cnt = nth_power_solution_count(ge * he.evaluate(x0), n)
+    for x0 in range(ext.order):
+        cnt = nth_power_solution_count(Fel(ext, ext.mul(ge.code, he._at(x0))), n)
         if cnt:
-            fibers[ProjPoint.finite(x0)] = cnt
+            fibers[ProjPoint(Fel(ext, x0))] = cnt
     ext_cover = SuperellipticCover(n, ge, he, cover.genus)
     inf_cnt = points_over_infinity(ext_cover)
     if inf_cnt:

@@ -21,6 +21,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .covers import INFINITY, ProjPoint, RationalMap
+from .gf import Fel
 from .polyfactor import (
     BPoly,
     UPoly,
@@ -100,8 +101,7 @@ class ExceptionalityReport:
 
 def _diagonal_canonical(field):
     # y - x, which is the canonical scaling of x - y
-    return BPoly(field, [UPoly(field, (field.zero(), -field.one())),
-                         UPoly.one(field)])
+    return BPoly(field, [UPoly(field, (0, -1)), 1])
 
 
 def decide_exceptional(f, config=DEFAULT_CONFIG):
@@ -156,18 +156,17 @@ def factor_points(G):
     y^deg_y coefficient vanishes.
     """
     fld, dx, dy = G.field, G.deg_x, G.deg_y
-    pts = [ProjPoint.finite(x) for x in fld.elements()] + [INFINITY]
+    q = fld.order
+    pts = [ProjPoint(Fel(fld, v)) for v in range(q)] + [INFINITY]
     out = []
-    for P in pts:
-        if P.is_infinity:
+    for P, pt in enumerate(pts):
+        if P == q:
             slice_y = UPoly(fld, [c.coefficient(dx) for c in G.ycoeffs])
         else:
-            slice_y = G.substitute_x(P.x)
-        for Q in pts:
-            value = (slice_y.coefficient(dy) if Q.is_infinity
-                     else slice_y.evaluate(Q.x))
-            if value.is_zero():
-                out.append((P, Q))
+            slice_y = G._at_x(P)
+        out.extend((pt, pts[Q]) for Q in range(q) if not slice_y._at(Q))
+        if slice_y.degree < dy:
+            out.append((pt, INFINITY))
     return out
 
 
@@ -235,17 +234,14 @@ def validate_diagonal_bound(report, audit, config=DEFAULT_CONFIG):
 
 def monomial_map(field, n):
     """x^n as a rational self-map."""
-    cs = [field.zero()] * n + [field.one()]
-    return RationalMap(UPoly(field, cs), UPoly.one(field))
+    return RationalMap(UPoly(field, [0] * n + [1]), UPoly.one(field))
 
 
 def quintic_pair_map(field, a, b):
     """(x^5 - a x) / (x^4 - b)."""
     a, b = field.element(a), field.element(b)
-    num = UPoly(field, (field.zero(), -a, field.zero(), field.zero(),
-                        field.zero(), field.one()))
-    den = UPoly(field, (-b, field.zero(), field.zero(), field.zero(),
-                        field.one()))
+    num = UPoly(field, (0, -a, 0, 0, 0, 1))
+    den = UPoly(field, (-b, 0, 0, 0, 1))
     return RationalMap(num, den)
 
 

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, NotSubgroup, NotTransitive
@@ -270,7 +270,12 @@ class CosetSpec:
             raise ValueError("the coset does not generate the quotient")
 
     def coset(self):
-        return [self.rep * g for g in self.normal.elements]
+        """The generating coset rep * G, built once per spec."""
+        return self._coset
+
+    @cached_property
+    def _coset(self):
+        return tuple(self.rep * g for g in self.normal.elements)
 
     def qualifying_reps(self):
         """All a' in A whose coset generates A/G: the cosets rep^j G with

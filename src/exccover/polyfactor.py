@@ -2,26 +2,22 @@
 finite fields, including the absolute-irreducibility classification of
 plane-curve factors.
 
-Both polynomial types are dense polynomials in one variable on one
-shared core of ring arithmetic: a UPoly is a polynomial over F_q, and a
-BPoly is a polynomial in y over F_q[x] whose coefficients are UPolys.
+Both polynomial types share one dense core of ring arithmetic: a UPoly
+holds the int codes of its coefficients over F_q, and a BPoly is a
+polynomial in y whose coefficients are UPolys in x.
 
 The univariate factorizer is the classical squarefree / distinct-degree /
 equal-degree pipeline with a configuration-fixed seed for the randomized
 splits.  The bivariate factorizer splits off the content in x and takes
-the first good line x = x0 of the primitive part P: one that keeps deg_y
-and leaves P(x0, y) squarefree.  Such a line certifies that P is
-squarefree and separable in y, so P is factored at once: the
-specialization is factored, Hensel-lifted to twice the x-degree bound,
-and recombined by exhaustive subset search with exact trial division.
-Only when no F_q-line is good does a bivariate gcd chain split P into
-squarefree, y-separable parts first.
+the first good line x = x0 of the primitive part P, one that keeps deg_y
+and leaves P(x0, y) squarefree: the specialization is factored,
+Hensel-lifted to twice the x-degree bound, and recombined by exhaustive
+subset search with exact trial division.
 
-The component count of an F_q-irreducible factor is bounded first: it
-divides gcd(deg_x, deg_y) and every factor degree of the factor's
-restriction to a good line x = x0 (Frobenius cycles the components).
-When that bound e is 1 nothing more is factored; otherwise the factor
-is factored over F_{Q^e}, never over a larger field.
+The component count of an F_q-irreducible factor divides gcd(deg_x,
+deg_y) and every factor degree of its restriction to a good line; when
+that bound e is 1 nothing more is factored, otherwise the factor is
+factored over F_{Q^e}.
 """
 
 from __future__ import annotations
@@ -30,6 +26,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from .config import DEFAULT_CONFIG
@@ -39,22 +36,84 @@ from .errors import (
     MixedFields,
     NotSquarefree,
 )
-from .gf import Fel, Field, extension, power, prime_factors
+from .gf import Fel, Field, extension, power
+
+
+def _same(c):
+    return c
+
+
+@cache
+def _code_ring(F):
+    """(zero, add, sub, mul, reduce) on the codes of F; over a prime field
+    exact ints, reduced mod p once per result coefficient."""
+    if F.k == 1:
+        p = F.p
+        return 0, operator.add, operator.sub, operator.mul, lambda c: c % p
+    return 0, F.add, F.sub, F.mul, _same
+
+
+def _conv(R, a, b):
+    """Product of the coefficient lists a and b over the ring R."""
+    zero, add, _, mul, red = R
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return [red(c) for c in out]
+
+
+def _divrem(R, rem, o, lead_quotient):
+    """Schoolbook division of the list rem, which it consumes, by the list
+    o over the ring R: (quotient, remainder), or None when
+    ``lead_quotient(c)``, the term cancelling a leading coefficient c,
+    is None.
+    """
+    zero, _, sub, mul, red = R
+    do = len(o) - 1
+    q = [zero] * max(len(rem) - do, 0)
+    while len(rem) > do:
+        c = red(rem.pop())
+        if c:
+            c = lead_quotient(c)
+            if c is None:
+                return None
+            off = len(rem) - do
+            q[off] = c
+            for i in range(do):
+                rem[off + i] = sub(rem[off + i], mul(c, o[i]))
+    return q, [red(c) for c in rem]
 
 
 class _Dense:
     """Dense polynomial in one variable over a commutative ring,
-    coefficients low to high (von zur Gathen-Gerhard, Modern Computer
-    Algebra, ch. 2).
+    coefficients low to high in the private tuple ``_c`` (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 2).
 
-    Subclasses fix the coefficient ring: ``__init__`` lifts and trims the
-    coefficients, and ``_scalar`` lifts one operand into the ring, or
+    Subclasses fix the coefficient ring: ``_ring`` gives its (zero, add,
+    sub, mul, reduce), and ``_scalar`` lifts one operand into it, or
     returns None when it is not a ring element.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_c")
 
-    # -- constructors ---------------------------------------------------------
+    # -- constructors
+
+    @classmethod
+    def _of(cls, field, cs):
+        """The polynomial with the ring coefficients cs, trimmed."""
+        while cs and not cs[-1]:
+            cs = cs[:-1]
+        out = object.__new__(cls)
+        out.field = field
+        out._c = tuple(cs)
+        return out
+
+    def _new(self, cs):
+        return self._of(self.field, cs)
 
     @classmethod
     def zero(cls, field):
@@ -68,30 +127,30 @@ class _Dense:
     def constant(cls, field, c):
         return cls(field, (c,))
 
-    def _new(self, coeffs):
-        return type(self)(self.field, coeffs)
-
-    # -- basic queries ---------------------------------------------------------
+    # -- basic queries
 
     @property
     def degree(self):
         """Degree; the zero polynomial reports -1."""
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
+
+    def __bool__(self):
+        return bool(self._c)
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and self.field is other.field
-            and self.coeffs == other.coeffs
+            and self._c == other._c
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._c)
 
-    # -- arithmetic -------------------------------------------------------------
+    # -- arithmetic
 
     def _coerce(self, other):
         if type(other) is type(self):
@@ -105,10 +164,11 @@ class _Dense:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        _, add, _, _, red = self._ring()
+        a, b = self._c, o._c
         if len(a) < len(b):
             a, b = b, a
-        return self._new([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return self._new([red(add(x, y)) for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -125,24 +185,17 @@ class _Dense:
         return o - self
 
     def __neg__(self):
-        return self._new([-c for c in self.coeffs])
+        zero, _, sub, _, red = self._ring()
+        return self._new([red(sub(zero, c)) for c in self._c])
 
     def __mul__(self, other):
+        R = self._ring()
         if type(other) is not type(self):
             c = self._scalar(other)
             if c is None:
                 return NotImplemented
-            return self._new([a * c for a in self.coeffs])
-        o = self._coerce(other)
-        if self.is_zero() or o.is_zero():
-            return self._new(())
-        z = self._scalar(0)
-        out = [z] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return self._new(out)
+            return self._new([R[4](R[3](a, c)) for a in self._c])
+        return self._new(_conv(R, self._c, self._coerce(other)._c))
 
     __rmul__ = __mul__
 
@@ -152,75 +205,63 @@ class _Dense:
         return power(self, e, self.one(self.field), operator.mul)
 
     def _divide(self, o, lead_quotient):
-        """Schoolbook division by a nonzero o: (quotient, remainder).
-
-        ``lead_quotient(c)`` is the quotient term that cancels a leading
-        remainder coefficient c against o's leading coefficient, or None
-        when there is none; the division then stops and returns None.
-        """
-        rem = list(self.coeffs)
-        do = o.degree
-        q = [self._scalar(0)] * max(len(rem) - do, 0)
-        while len(rem) > do:
-            c = lead_quotient(rem[-1])
-            if c is None:
-                return None
-            off = len(rem) - 1 - do
-            q[off] = c
-            for i in range(do + 1):
-                rem[off + i] = rem[off + i] - c * o.coeffs[i]
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return self._new(q), self._new(rem)
+        """Schoolbook division by a nonzero o, as ``_divrem``."""
+        out = _divrem(self._ring(), list(self._c), o._c, lead_quotient)
+        return None if out is None else (self._new(out[0]), self._new(out[1]))
 
     def derivative(self):
-        return self._new([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        _, _, _, mul, red = self._ring()
+        p = self.field.p
+        return self._new([red(mul(c, i % p)) for i, c in enumerate(self._c) if i])
 
 
 class UPoly(_Dense):
-    """Dense univariate polynomial over a Field, coefficients low to high."""
+    """Dense univariate polynomial over a Field, coefficients low to high;
+    ``coeffs`` reads them as field elements."""
 
     __slots__ = ()
 
     def __init__(self, field, coeffs=()):
-        cs = [field.element(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self._c = self._of(field, [field.element(c).code for c in coeffs])._c
+
+    def _ring(self):
+        return _code_ring(self.field)
 
     def _scalar(self, c):
-        return self.field.element(c) if isinstance(c, (Fel, int)) else None
+        return self.field._code(c)
 
-    # -- constructors ---------------------------------------------------------
+    @property
+    def coeffs(self):
+        return tuple(Fel(self.field, c) for c in self._c)
+
+    # -- constructors
 
     @classmethod
     def x(cls, field):
-        return cls(field, (0, 1))
+        return cls._of(field, (0, 1))
 
     @classmethod
     def from_roots(cls, field, roots):
         out = cls.one(field)
         for r in roots:
-            out = out * cls(field, (-field.element(r), field.one()))
+            out = out * cls(field, (-field.element(r), 1))
         return out
 
-    # -- basic queries ---------------------------------------------------------
+    # -- basic queries
 
     def lc(self):
-        if not self.coeffs:
+        if not self._c:
             raise DivisionByZero("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
+        return Fel(self.field, self._c[-1])
 
     def coefficient(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero()
+        return Fel(self.field, self._c[i] if 0 <= i < len(self._c) else 0)
 
     def __repr__(self):
-        return f"UPoly({[c.to_int() for c in self.coeffs]} over {self.field!r})"
+        return f"UPoly({list(self._c)} over {self.field!r})"
 
-    # -- division ---------------------------------------------------------------
+    # -- division
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -229,9 +270,10 @@ class UPoly(_Dense):
         if o.is_zero():
             raise DivisionByZero("division by the zero polynomial")
         if self.degree < o.degree:
-            return UPoly.zero(self.field), self
-        inv = o.lc().inverse()
-        return self._divide(o, lambda c: c * inv)
+            return self._new(()), self
+        F = self.field
+        inv, mul = F.inv(o._c[-1]), F.mul
+        return self._divide(o, lambda c: mul(c, inv))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -239,36 +281,44 @@ class UPoly(_Dense):
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    # -- calculus and transforms -------------------------------------------------
+    # -- calculus and transforms
 
     def monic(self):
-        return self if self.is_zero() else self * self.lc().inverse()
+        if not self._c or self._c[-1] == 1:
+            return self
+        return self * Fel(self.field, self.field.inv(self._c[-1]))
+
+    def _at(self, x):
+        """Code of the value at the code x, by Horner's rule."""
+        F = self.field
+        acc = 0
+        if F.k == 1:
+            p = F.p
+            for c in reversed(self._c):
+                acc = (acc * x + c) % p
+        else:
+            add, mul = F.add, F.mul
+            for c in reversed(self._c):
+                acc = add(mul(acc, x), c)
+        return acc
 
     def evaluate(self, x):
-        x = self.field.element(x)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose(self, inner):
-        """self(inner(x)) for a UPoly inner."""
-        inner = self._coerce(inner)
-        acc = UPoly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UPoly.constant(self.field, c)
-        return acc
+        return Fel(self.field, self._at(self.field.element(x).code))
 
     def shift(self, a):
-        """self(x + a)."""
-        a = self.field.element(a)
-        return self.compose(UPoly(self.field, (a, self.field.one())))
+        """self(x + a), by Horner's Taylor shift."""
+        F, cs = self.field, list(self._c)
+        a = F.element(a).code
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] = F.add(cs[j], F.mul(a, cs[j + 1]))
+        return self._new(cs)
 
     def truncate(self, prec):
-        return UPoly(self.field, self.coeffs[:prec])
+        return self._new(self._c[:prec])
 
     def map_coefficients(self, fn, new_field):
-        return UPoly(new_field, tuple(fn(c) for c in self.coeffs))
+        return UPoly(new_field, [fn(c) for c in self.coeffs])
 
 
 def upoly_gcd(f, g):
@@ -303,22 +353,27 @@ def upoly_ext_gcd(f, g):
 
 
 def pow_mod(base, e, mod):
-    """base^e mod mod for a nonnegative integer exponent."""
-    return power(base % mod, e, UPoly.one(base.field), lambda a, b: (a * b) % mod)
+    """base^e mod mod for a nonnegative integer exponent, on code lists."""
+    F = base.field
+    b = list((base % mod)._c)
+    R, m = _code_ring(F), mod._c
+    inv, mul = F.inv(m[-1]), F.mul
+
+    def mulmod(u, v):
+        return _divrem(R, _conv(R, u, v), m, lambda c: mul(c, inv))[1]
+
+    return UPoly._of(F, power(b, e, [1], mulmod))
 
 
 # ---------------------------------------------------------------------------
 # Univariate factorization.
 
 
-def _pth_root_fel(c):
-    # every element of F_{p^k} has the unique p-th root c^(p^(k-1))
-    f = c.field
-    return c ** (f.p ** (f.k - 1))
-
-
 def _pth_root_upoly(f):
-    return UPoly(f.field, [_pth_root_fel(c) for c in f.coeffs[::f.field.p]])
+    # every element of F_{p^k} has the unique p-th root c^(p^(k-1))
+    F = f.field
+    e = F.p ** (F.k - 1)
+    return f._new([F.pow(c, e) for c in f._c[::F.p]])
 
 
 def squarefree_decomposition(f):
@@ -401,7 +456,7 @@ def _equal_degree_split(f, d, rng):
             out.append(g)
             continue
         while True:
-            a = UPoly(fld, [fld.from_int(rng.randrange(q)) for _ in range(g.degree)])
+            a = UPoly._of(fld, [rng.randrange(q) for _ in range(g.degree)])
             if a.degree < 1:
                 continue
             if fld.p == 2:
@@ -450,10 +505,6 @@ class FactorCertificate:
         return True
 
 
-def _sort_key_upoly(f):
-    return (f.degree, tuple(c.to_int() for c in f.coeffs))
-
-
 def factor_univariate(f, config=DEFAULT_CONFIG):
     """Complete factorization of a nonzero UPoly into monic irreducibles."""
     if f.is_zero():
@@ -465,7 +516,7 @@ def factor_univariate(f, config=DEFAULT_CONFIG):
         for d, prod in distinct_degree_split(g):
             for irr in _equal_degree_split(prod, d, rng):
                 factors.append((irr, mult))
-    factors.sort(key=lambda pair: _sort_key_upoly(pair[0]))
+    factors.sort(key=lambda pair: (pair[0].degree, pair[0]._c))
     return FactorCertificate(f.field, unit, tuple(factors))
 
 
@@ -474,11 +525,9 @@ def roots(f, config=DEFAULT_CONFIG):
     if f.is_zero():
         raise DivisionByZero("roots of the zero polynomial")
     fld = f.field
-    sqf = UPoly.one(fld)
-    for g, _ in squarefree_decomposition(f):
-        sqf = sqf * g
     x = UPoly.x(fld)
-    linear_part = upoly_gcd(pow_mod(x, fld.order, sqf) - x, sqf)
+    # x^Q - x is squarefree, so this is the product of the distinct roots
+    linear_part = upoly_gcd(pow_mod(x, fld.order, f) - x, f)
     rng = random.Random(config.seed)
     out = []
     if linear_part.degree > 0:
@@ -489,26 +538,18 @@ def roots(f, config=DEFAULT_CONFIG):
 
 
 def is_irreducible(f):
-    """Deterministic irreducibility test for a UPoly of degree >= 1."""
+    """Deterministic irreducibility test for a UPoly of degree >= 1
+    (Ben-Or): f of degree n is irreducible exactly when
+    gcd(x^(Q^i) - x, f) = 1 for every i <= n/2."""
     n = f.degree
     if n < 1:
         return False
-    if n == 1:
-        return True
-    fld = f.field
     f = f.monic()
-    x = UPoly.x(fld)
-    xq = pow_mod(x, fld.order, f)
-    # x^(Q^n) must reduce to x, and no proper Frobenius power may share a factor
-    powers = {1: xq}
-    h = xq
-    for i in range(2, n + 1):
-        h = pow_mod(h, fld.order, f)
-        powers[i] = h
-    if powers[n] != x % f:
-        return False
-    for t in prime_factors(n):
-        if upoly_gcd(powers[n // t] - x, f).degree != 0:
+    x = UPoly.x(f.field)
+    h = x
+    for _ in range(n // 2):
+        h = pow_mod(h, f.field.order, f)
+        if upoly_gcd(h - x, f).degree > 0:
             return False
     return True
 
@@ -529,9 +570,10 @@ class BPoly(_Dense):
         for c in ycoeffs:
             u = self._scalar(c)
             cs.append(UPoly(field, c) if u is None else u)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self._c = self._of(field, cs)._c
+
+    def _ring(self):
+        return UPoly._of(self.field, ()), operator.add, operator.sub, operator.mul, _same
 
     def _scalar(self, c):
         if isinstance(c, UPoly):
@@ -542,15 +584,15 @@ class BPoly(_Dense):
             return UPoly(self.field, (c,))
         return None
 
-    # -- constructors ---------------------------------------------------------
+    # -- constructors
 
     @classmethod
     def from_x_poly(cls, f):
-        return cls(f.field, (f,))
+        return cls._of(f.field, (f,))
 
     @classmethod
     def from_y_poly(cls, f):
-        return cls(f.field, f.coeffs)
+        return cls._of(f.field, [UPoly._of(f.field, (c,)) for c in f._c])
 
     @classmethod
     def from_grid(cls, field, rows):
@@ -565,42 +607,42 @@ class BPoly(_Dense):
             ]))
         return cls(field, ycs)
 
-    # -- queries ----------------------------------------------------------------
+    # -- queries
 
     deg_y = _Dense.degree
 
     @property
-    def ycoeffs(self):
-        """Read-only alias of ``coeffs``: the UPolys in x, low to high in y."""
-        return self.coeffs
+    def coeffs(self):
+        """The UPolys in x, low to high in y."""
+        return self._c
+
+    ycoeffs = coeffs
 
     @property
     def deg_x(self):
-        return max((c.degree for c in self.coeffs), default=-1)
+        return max((c.degree for c in self._c), default=-1)
 
     @property
     def total_degree(self):
-        best = -1
-        for j, c in enumerate(self.coeffs):
-            for i, a in enumerate(c.coeffs):
-                if not a.is_zero():
-                    best = max(best, i + j)
-        return best
+        return max((c.degree + j for j, c in enumerate(self._c) if c), default=-1)
 
     def coefficient(self, i, j):
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j].coefficient(i)
+        if 0 <= j < len(self._c):
+            return self._c[j].coefficient(i)
         return self.field.zero()
 
     def __repr__(self):
         return f"BPoly(deg_x={self.deg_x}, deg_y={self.deg_y} over {self.field!r})"
 
-    # -- transforms ------------------------------------------------------------------
+    # -- transforms
+
+    def _at_x(self, x):
+        """UPoly in y at the line of code x."""
+        return UPoly._of(self.field, [c._at(x) for c in self._c])
 
     def substitute_x(self, x0):
         """UPoly in y obtained by fixing x = x0."""
-        x0 = self.field.element(x0)
-        return UPoly(self.field, [c.evaluate(x0) for c in self.coeffs])
+        return self._at_x(self.field.element(x0).code)
 
     def evaluate(self, x0, y0):
         return self.substitute_x(x0).evaluate(y0)
@@ -608,24 +650,21 @@ class BPoly(_Dense):
     derivative_y = _Dense.derivative
 
     def derivative_x(self):
-        return BPoly(self.field, tuple(c.derivative() for c in self.coeffs))
+        return self._new([c.derivative() for c in self._c])
 
     def shift_x(self, a):
-        return BPoly(self.field, tuple(c.shift(a) for c in self.coeffs))
+        return self._new([c.shift(a) for c in self._c])
 
     def map_coefficients(self, fn, new_field):
         return BPoly(new_field, tuple(c.map_coefficients(fn, new_field)
-                                      for c in self.coeffs))
+                                      for c in self._c))
 
     def canonical(self):
         """Unit-normalized form: the coefficient of the highest monomial
         (y-degree first, then x-degree) is scaled to one."""
-        if self.is_zero():
+        if self.is_zero() or self._c[-1]._c[-1] == 1:
             return self
-        lead = self.coeffs[-1].lc()
-        if lead.to_int() == 1:
-            return self
-        return self * lead.inverse()
+        return self * self._c[-1].lc().inverse()
 
 
 def content_y(F):
@@ -653,10 +692,10 @@ def bpoly_div_exact(F, G):
 
     def lead_quotient(c):
         q, r = divmod(c, glc)
-        return None if r.coeffs else q
+        return None if r else q
 
     out = F._divide(G, lead_quotient)
-    if out is None or out[1].coeffs:
+    if out is None or out[1]:
         return None
     return out[0]
 
@@ -694,10 +733,6 @@ def bgcd(F, G):
     return (a * c).canonical()
 
 
-def _pth_root_bpoly(F):
-    return BPoly(F.field, [_pth_root_upoly(c) for c in F.coeffs[::F.field.p]])
-
-
 def _compress_y(F):
     """Substitute y^p -> y when every y-exponent is divisible by p."""
     return BPoly(F.field, F.coeffs[::F.field.p])
@@ -705,23 +740,23 @@ def _compress_y(F):
 
 def _series_inverse(u, prec):
     """Power series inverse of u mod x^prec; u(0) must be nonzero."""
-    fld = u.field
-    c0 = u.coefficient(0)
-    if c0.is_zero():
+    F, cs = u.field, u._c
+    if not cs or not cs[0]:
         raise DivisionByZero("series inverse of a non-unit")
-    inv0 = c0.inverse()
-    out = [inv0]
+    add, mul = F.add, F.mul
+    minus_inv0 = F.neg(F.inv(cs[0]))
+    out = [F.inv(cs[0])]
     for n in range(1, prec):
-        acc = fld.zero()
+        acc = 0
         for i in range(1, min(n, u.degree) + 1):
-            acc = acc + u.coefficient(i) * out[n - i]
-        out.append(-inv0 * acc)
-    return UPoly(fld, out)
+            acc = add(acc, mul(cs[i], out[n - i]))
+        out.append(mul(minus_inv0, acc))
+    return u._new(out)
 
 
 def _truncate_x(F, prec):
     """F modulo x^prec."""
-    return BPoly(F.field, [c.truncate(prec) for c in F.coeffs])
+    return F._new([c.truncate(prec) for c in F._c])
 
 
 def _hensel_lift_factors(Wstar, u_factors, prec):
@@ -740,14 +775,15 @@ def _hensel_lift_factors(Wstar, u_factors, prec):
         lams.append(s % u_factors[i])
     lifted = [BPoly.from_y_poly(u) for u in u_factors]
     for j in range(1, prec):
+        # the error at x^j needs the product of the lifts only mod x^(j+1)
         prod = BPoly.one(fld)
         for w in lifted:
-            prod = _truncate_x(prod * w, prec)
-        # error coefficient at x^j as a polynomial in y
-        e_j = UPoly(fld, [c.coefficient(j) for c in (Wstar - prod).coeffs])
+            prod = _truncate_x(prod * w, j + 1)
+        e_j = UPoly._of(fld, [c._c[j] if len(c._c) > j else 0
+                              for c in (Wstar - prod)._c])
         if e_j.is_zero():
             continue
-        xj = UPoly(fld, [0] * j + [1])
+        xj = UPoly._of(fld, [0] * j + [1])
         for i in range(r):
             delta = (lams[i] * e_j) % u_factors[i]
             if not delta.is_zero():
@@ -833,7 +869,7 @@ def _sort_key_bpoly(F):
     return (
         F.deg_y,
         F.deg_x,
-        tuple(tuple(c.to_int() for c in yc.coeffs) for yc in F.coeffs),
+        tuple(yc._c for yc in F._c),
     )
 
 
@@ -865,7 +901,7 @@ def _hensel_at_line(W, x0, config):
                     H = _truncate_x(H * lifted[i], prec)
                 H = primitive_part_y(H).canonical()
                 # the candidate must specialize to exactly its subset
-                spec = H.substitute_x(fld.zero())
+                spec = H._at_x(0)
                 if spec.degree != H.deg_y:
                     continue
                 expect = UPoly.one(fld)
@@ -893,11 +929,10 @@ def _distinct_bivariate_factors(F, config):
 
     The content in x is factored as a univariate polynomial.  The first
     good line x = x0 of the primitive part P certifies that P is
-    squarefree and separable in y: a square factor, or a factor in y^p,
-    would survive on the line as a square or as a p-th power.  P then goes
-    straight to the Hensel lift at x0.  Only when no F_q-line is good does
-    the bivariate gcd chain split P into squarefree, y-separable parts and
-    a p-th power residue first.
+    squarefree and separable in y (a square factor or a factor in y^p
+    would survive on the line), so P goes straight to the Hensel lift at
+    x0.  Only when no F_q-line is good does the bivariate gcd chain split
+    P into squarefree, y-separable parts and a p-th power residue first.
     """
     fld = F.field
     out = set()
@@ -905,7 +940,7 @@ def _distinct_bivariate_factors(F, config):
         cert = factor_univariate(F.coeffs[0], config)
         return {BPoly.from_x_poly(g).canonical() for g, _ in cert.factors}
     if F.deg_x == 0:
-        yp = UPoly(fld, [c.coefficient(0) for c in F.coeffs])
+        yp = UPoly._of(fld, [c._c[0] if c else 0 for c in F._c])
         cert = factor_univariate(yp, config)
         return {BPoly.from_y_poly(g).canonical() for g, _ in cert.factors}
     cont = content_y(F)
@@ -921,7 +956,8 @@ def _distinct_bivariate_factors(F, config):
         return out
     Px, Py = P.derivative_x(), P.derivative_y()
     if Px.is_zero() and Py.is_zero():
-        out.update(_distinct_bivariate_factors(_pth_root_bpoly(P), config))
+        root = P._new([_pth_root_upoly(c) for c in P._c[::fld.p]])
+        out.update(_distinct_bivariate_factors(root, config))
         return out
     G = P
     if not Px.is_zero():
@@ -953,18 +989,12 @@ def _factor_squarefree_primitive(W, config):
     fld = W.field
     Wy = W.derivative_y()
     if Wy.is_zero():
-        V = _compress_y(W)
-        inner = _factor_squarefree_primitive(V.canonical(), config)
-        expanded = set()
-        p = fld.p
-        for g in inner:
-            ycs = []
-            for j, c in enumerate(g.coeffs):
-                while len(ycs) < j * p:
-                    ycs.append(UPoly.zero(fld))
-                ycs.append(c)
-            expanded.add(BPoly(fld, ycs).canonical())
-        return expanded
+        inner = _factor_squarefree_primitive(_compress_y(W).canonical(), config)
+        zero, p = UPoly.zero(fld), fld.p
+        # y -> y^p in each factor of the compressed W
+        return {BPoly(fld, [g.coeffs[j // p] if j % p == 0 else zero
+                            for j in range(p * g.deg_y + 1)]).canonical()
+                for g in inner}
     A = bgcd(W, Wy)
     if A.total_degree == 0:
         return set(_hensel_factor_squarefree(W, config))
@@ -1029,6 +1059,9 @@ def absolute_component_count(G, config=DEFAULT_CONFIG):
     """Number of absolutely irreducible components of an F_q-irreducible
     bivariate polynomial.
 
+    Precondition: G is irreducible over F_q, as every factor of
+    ``factor_bivariate`` is; ``y^2 + 1`` over F_9 is outside the contract.
+
     Frobenius permutes the c components cyclically and they share one
     bidegree, so c divides gcd(deg_x, deg_y).  On a line x = x0 that keeps
     deg_y and squarefreeness the components stay pairwise coprime, so c
@@ -1057,12 +1090,8 @@ def absolute_component_count(G, config=DEFAULT_CONFIG):
 
 
 def geometric_components(F, config=DEFAULT_CONFIG):
-    """Per-factor component counts for a squarefree bivariate polynomial.
-
-    Every F_q-irreducible factor G gets ``absolute_component_count``: the
-    factor degrees of G on a few good lines x = x0 bound its component
-    count by e, a divisor of gcd(deg_x, deg_y).  G is absolutely
-    irreducible when e = 1; otherwise G is factored over F_{Q^e}.  The
+    """Per-factor component counts for a squarefree bivariate polynomial,
+    by ``absolute_component_count`` on each F_q-irreducible factor.  The
     number of components equals the degree of each component's field of
     definition.
     """

@@ -1,7 +1,9 @@
 import random
+from math import gcd
 
 import pytest
 
+from exccover import _kernel, gf
 from exccover.config import Config
 from exccover.errors import (
     CapExceeded,
@@ -283,3 +285,107 @@ def test_make_field_cap_applies_to_cached_fields():
         make_field(2, 10, Config(field_cap=2**9))
     with pytest.raises(NonPrime):
         make_field(9)
+
+
+# ---------------------------------------------------------------------------
+# The kernel on codes: Zech-log tables against the polynomial basis.
+
+
+def _basis(F):
+    """The polynomial-basis kernel of F, which every field above the table
+    bound uses: (add, sub, neg, mul, inv) on codes."""
+    return _kernel.basis_ops(F.p, F.modulus)
+
+
+def test_table_ops_match_basis_ops_on_all_pairs():
+    fields = [(p, k) for p, k, q in prime_powers_upto(64) if k > 1]
+    assert [p**k for p, k in fields] == [4, 8, 9, 16, 25, 27, 32, 49, 64]
+    for p, k in fields:
+        F = make_field(p, k)
+        add, sub, neg, mul, inv = _basis(F)
+        for a in range(F.order):
+            assert F.neg(a) == neg(a)
+            if a:
+                assert F.inv(a) == inv(a) and F.mul(a, inv(a)) == 1
+            for b in range(F.order):
+                assert F.add(a, b) == add(a, b), (p, k, a, b)
+                assert F.sub(a, b) == sub(a, b), (p, k, a, b)
+                assert F.mul(a, b) == mul(a, b), (p, k, a, b)
+
+
+def _schoolbook_mul(F, a, b):
+    """Product of two codes by residue vectors: convolution, then
+    reduction by the monic modulus, with no Kronecker packing."""
+    p, k, m = F.p, F.k, F.modulus
+    da = [a // p**i % p for i in range(k)]
+    db = [b // p**i % p for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for i in range(k + 1):
+            prod[top - k + i] -= c * m[i]
+    return sum(c % p * p**i for i, c in enumerate(prod[:k]))
+
+
+def test_basis_kernel_above_the_table_bound():
+    # F_{3^8} is the first field of characteristic 3 above the bound; its
+    # own kernel is the polynomial basis, checked against schoolbook
+    # products and against Zech tables built for it on purpose.
+    F = make_field(3, 8)
+    assert F.order > _kernel.TABLE_ORDER
+    g = F.multiplicative_generator().code
+    add, sub, neg, mul, inv, pw, log = _kernel.zech_ops(F.p, F.order, g, F.mul)
+    rng = random.Random(2005)
+    for _ in range(2000):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        assert F.mul(a, b) == _schoolbook_mul(F, a, b) == mul(a, b)
+        assert F.add(a, b) == add(a, b) and F.sub(a, b) == sub(a, b)
+        assert F.neg(a) == neg(a)
+        e = rng.randrange(-50, 50)
+        if a:
+            assert F.inv(a) == inv(a) and F.mul(a, F.inv(a)) == 1
+            assert F.pow(a, e) == pw(a, e % (F.order - 1))
+            assert F.pow(g, log(a)) == a
+    assert F.log(F.pow(g, 4321)) == 4321
+
+
+def test_nth_power_count_by_log_matches_by_power():
+    # in a table field an element is an n-th power exactly when
+    # gcd(n, Q - 1) divides its log; the count must agree with the
+    # power test c^((Q-1)/g) = 1 and with brute force
+    for p, k in ((2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)):
+        F = make_field(p, k)
+        q1 = F.order - 1
+        for n in range(1, 10):
+            g = gcd(n, q1)
+            seen = {}
+            for y in F.elements():
+                seen[y ** n] = seen.get(y ** n, 0) + 1
+            for c in F.elements():
+                count = nth_power_solution_count(c, n)
+                assert count == seen.get(c, 0), (F, n, c)
+                if c:
+                    assert count == (g if F.log(c.code) % g == 0 else 0)
+                    assert count == (g if (c ** (q1 // g)).code == 1 else 0)
+
+
+def test_kernel_is_built_on_first_use():
+    # constructing a field builds no kernel; its first operation does
+    F = gf.Field(5, 2, make_field(5, 2).modulus)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(F, "mul")
+    assert F.mul(5, 5) == make_field(5, 2).mul(5, 5)
+    assert object.__getattribute__(F, "mul") is F.mul
+
+
+def test_printer_logs_match_generator_powers():
+    # the printer's g^j exponents are the field's discrete logs to the
+    # smallest generator, on a table field and on one above the bound
+    for p, k in ((3, 2), (2, 13)):
+        F = make_field(p, k)
+        g = F.multiplicative_generator()
+        for j in (0, 1, 7, F.order - 2):
+            assert F.log((g ** j).code) == j

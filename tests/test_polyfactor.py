@@ -737,6 +737,75 @@ def test_fallback_matches_good_line_path():
     assert checked >= 16
 
 
+def _lift_at_split_line(W):
+    """The Hensel data of ``_hensel_at_line`` at the first good line of W
+    where W(x0, y) has two or more factors: (Wstar, lifts, precision)."""
+    prec = 2 * W.deg_x + 1
+    for x0, u in polyfactor._good_lines(W):
+        if len(factor_univariate(u).factors) < 2:
+            continue
+        Ws = W.shift_x(x0)
+        Wstar = polyfactor._truncate_x(
+            Ws * polyfactor._series_inverse(Ws.coeffs[-1], prec), prec)
+        us = [g for g, _ in factor_univariate(Wstar.substitute_x(0)).factors]
+        return Wstar, polyfactor._hensel_lift_factors(Wstar, us, prec), prec
+    raise AssertionError("no good line splits W")
+
+
+def test_hensel_lifts_multiply_to_wstar():
+    # each lift step reads the error at x^j from the product of the lifts
+    # truncated to x^(j+1); the finished lifts must multiply to Wstar
+    # modulo x^prec.  The twist's Phi is irreducible on every F_13-line,
+    # so it is lifted where its component count is settled, over F_{13^2}.
+    phi = fiber_product_poly(quintic_twist_map(make_field(13)))
+    ext, emb = extension(phi.field, 2)
+    cases = [phi.map_coefficients(emb, ext)]
+    rng = random.Random(8)
+    for p in (5, 7):
+        F = make_field(p)
+        while len(cases) < (4 if p == 5 else 7):
+            P = rand_bpoly(F, 2, 2, rng) * rand_bpoly(F, 1, 2, rng)
+            if (not P.is_zero() and content_y(P).degree == 0
+                    and next(polyfactor._good_lines(P), None) is not None):
+                cases.append(P)
+    for W in cases:
+        Wstar, lifted, prec = _lift_at_split_line(W)
+        prod = BPoly.one(W.field)
+        for w in lifted:
+            prod = polyfactor._truncate_x(prod * w, prec)
+        assert prod == Wstar
+
+
+def test_component_count_precondition_example():
+    # y^2 + 1 over F_9 splits into y - i and y + i; geometric_components
+    # counts each F_9-irreducible factor, one component apiece, whereas
+    # absolute_component_count(y^2 + 1) itself is outside its contract
+    F9 = make_field(3, 2)
+    geo = geometric_components(BPoly(F9, [1, 0, 1]))
+    assert [(row.factor.deg_y, row.components) for row in geo] == [(1, 1), (1, 1)]
+    assert all(row.absolutely_irreducible for row in geo)
+
+
+def test_component_count_matches_oracle_on_tier1_families():
+    # every factor of Phi for the family maps of the acceptance sweeps:
+    # x^n (n <= 7, q <= 31, p not dividing n), D_n(x, a), quintic twists
+    maps = []
+    for n in range(2, 8):
+        for p, k in small_fields(31):
+            if n % p:
+                maps.append(monomial_map(make_field(p, k), n))
+    for (p, k), n, a in (((7, 1), 3, 1), ((7, 1), 5, 2), ((5, 1), 4, 1),
+                         ((3, 2), 4, 1), ((11, 1), 5, 3), ((13, 1), 5, 2),
+                         ((2, 2), 3, 1)):
+        F = make_field(p, k)
+        maps.append(RationalMap(_dickson(F, n, a), UPoly.one(F)))
+    maps += [quintic_twist_map(make_field(q)) for q in (13, 17, 29)]
+    for f in maps:
+        for G, _ in factor_bivariate(fiber_product_poly(f)).factors:
+            assert absolute_component_count(G) == _component_count_oracle(G), \
+                (f.num, f.den, G)
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle: sympy's univariate factoring over F_p.
 
