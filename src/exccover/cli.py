@@ -29,6 +29,7 @@ from .errors import (
 from .gf import make_field
 from .polyfactor import UPoly
 from .covers import (
+    BranchLocus,
     RationalMap,
     audit_rational_map,
     audit_superelliptic,
@@ -345,10 +346,12 @@ def _parse_m_list(raw, default):
     if raw is None:
         return list(default)
     out = []
-    for piece in str(raw).split(","):
-        piece = piece.strip()
-        if piece:
-            out.append(int(piece))
+    for piece in filter(None, map(str.strip, str(raw).split(","))):
+        if not piece.isdecimal():
+            raise ValueError(f"degree {piece!r} in {raw!r} is not a positive integer")
+        if int(piece) in out:
+            raise ValueError(f"extension degree {int(piece)} is repeated in {raw!r}")
+        out.append(int(piece))
     if not out or any(m < 1 for m in out):
         raise ValueError("extension degrees must be positive")
     return out
@@ -377,10 +380,12 @@ def cmd_analyze(args, config):
     report = decide_exceptional(f, config)
     audits = [audit_rational_map(f, m, config) for m in sweep]
     censuses = [splitting_census(f, m, config) for m in census_sweep]
-    branch = ramified_rational_points(f, 1, config)
+    census1 = next((c for c in censuses if c.m == 1), None)
+    branch = (BranchLocus(1, census1.branch_points, 2 * f.degree - 2)
+              if census1 is not None else ramified_rational_points(f, 1, config))
 
     if (q + 1) ** 2 > config.enumeration_cap:
-        # both validators walk every rational point pair of the fiber product
+        # both validators are capped by the rational point pairs of P^1 x P^1
         skipped = {"status": "skipped",
                    "reason": f"(q+1)^2 = {(q + 1) ** 2} point pairs exceed "
                              f"the enumeration cap {config.enumeration_cap}"}

@@ -5,6 +5,7 @@ computation, genus formulas, and the splitting-type census of fibers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -126,6 +127,20 @@ class RationalMap:
         return f"RationalMap(deg {self.degree} over {self.field!r})"
 
 
+def _images(f, xs=None):
+    """Image codes of f at the codes xs, by default all of its field in
+    order; a pole gives None, infinity.  The only code that evaluates a
+    map on points."""
+    num, den, mul, inv = f.num, f.den, f.field.mul, f.field.inv
+    for x in range(f.field.order) if xs is None else xs:
+        rv = den._at(x)
+        yield mul(num._at(x), inv(rv)) if rv else None
+
+
+def _point(field, code):
+    return INFINITY if code is None else ProjPoint(Fel(field, code))
+
+
 def eval_map(f, point, field=None):
     """Evaluate the map at a projective point, optionally over an
     extension of its base field (coefficients are embedded first)."""
@@ -133,11 +148,7 @@ def eval_map(f, point, field=None):
         f = f.over(embedding(f.field, field))
     if point.is_infinity:
         return INFINITY
-    pv = f.num.evaluate(point.x)
-    rv = f.den.evaluate(point.x)
-    if rv.is_zero():
-        return INFINITY
-    return ProjPoint.finite(pv / rv)
+    return _point(f.field, next(_images(f, (f.field.element(point.x).code,))))
 
 
 def mobius_postcompose(f, a, b, c, d):
@@ -230,16 +241,9 @@ def _verdicts(fibers, base_order, exclude=None):
 def audit_rational_map(f, m, config=DEFAULT_CONFIG, exclude_branch_fibers=False):
     """Exhaustive fiber audit of a rational self-map over F_{q^m}."""
     ext, emb = _extension_for(f.field, m, config)
-    fe = f.over(emb)
-    num, den, mul, inv = fe.num, fe.den, ext.mul, ext.inv
-    counts = {}  # image code -> fiber size; None is infinity
-    for x in range(ext.order):
-        rv = den._at(x)
-        img = mul(num._at(x), inv(rv)) if rv else None
-        counts[img] = counts.get(img, 0) + 1
-    fibers = {ProjPoint(c if c is None else Fel(ext, c)): v
-              for c, v in counts.items()}
-    fibers[INFINITY] = fibers.get(INFINITY, 0) + 1  # infinity maps to infinity
+    counts = Counter(_images(f.over(emb)))  # image code -> fiber size
+    counts[None] += 1  # infinity maps to infinity
+    fibers = {_point(ext, c): v for c, v in counts.items()}
     excluded = None
     if exclude_branch_fibers:
         excluded = ramified_rational_points(f, m, config).points
@@ -272,12 +276,8 @@ def ramified_rational_points(f, m, config=DEFAULT_CONFIG):
     points = set()
     for g, _ in factor_univariate(crit, config).factors:
         if g.degree == 1:
-            alpha = -g.coefficient(0)
-            rv = fe.den.evaluate(alpha)
-            if rv.is_zero():
-                points.add(INFINITY)  # a multiple pole
-            else:
-                points.add(ProjPoint.finite(fe.num.evaluate(alpha) / rv))
+            # the image of a rational critical point; infinity for a multiple pole
+            points.add(_point(ext, next(_images(fe, ((-g.coefficient(0)).code,)))))
             continue
         if (fe.den % g).is_zero():
             points.add(INFINITY)
@@ -313,16 +313,22 @@ def splitting_census(f, m, config=DEFAULT_CONFIG):
     irreducible factors of p - t r; over a non-branch infinity it is the
     factor degrees of r plus the degree-(deg p - deg r) place above.
     Branch points are excluded and reported separately.
+    Off the branch locus, p - t r is squarefree of degree n with the a_1
+    points of the fiber as roots, and a rootless squarefree rest of
+    degree 2 or 3 is irreducible, so only n - a_1 >= 4 is factored.
     """
     branch = ramified_rational_points(f, m, config)
     ext, emb = _extension_for(f.field, m, config)
     fe = f.over(emb)
+    fiber = Counter(_images(fe))
+    skip = {P.x.code for P in branch.points if not P.is_infinity}
     hist = {}
-    for t in ext.elements():
-        if ProjPoint.finite(t) in branch.points:
+    for t in range(ext.order):
+        if t in skip:
             continue
-        phi = fe.num - fe.den * t
-        st = splitting_type(phi)
+        rest = fe.degree - fiber[t]
+        st = (splitting_type(fe.num - fe.den * Fel(ext, t)) if rest >= 4
+              else (1,) * fiber[t] + ((rest,) if rest else ()))
         hist[st] = hist.get(st, 0) + 1
     if INFINITY not in branch.points:
         degs = list(splitting_type(fe.den)) if fe.den.degree > 0 else []

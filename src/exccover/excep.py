@@ -20,7 +20,7 @@ from .errors import (
     NotSeparable,
     PreconditionFailed,
 )
-from .covers import INFINITY, ProjPoint, RationalMap
+from .covers import INFINITY, ProjPoint, RationalMap, _images
 from .gf import Fel
 from .polyfactor import (
     BPoly,
@@ -116,13 +116,19 @@ def decide_exceptional(f, config=DEFAULT_CONFIG):
     diag = _diagonal_canonical(f.field)
     # affine counts only while q^2 stays within the enumeration cap
     scan = f.field.order ** 2 <= config.enumeration_cap
+    if scan:  # rows (P, the Q with f(Q) = f(P)); code q is infinity, fixed by f
+        images = [*_images(f), None]
+        fibers = {}
+        for x, t in enumerate(images):
+            fibers.setdefault(t, []).append(x)
+        pairs = [(P, fibers[t]) for P, t in enumerate(images)]
     memo = {}
     rows = []
     for G, mult in cert.factors:
         c = absolute_component_count(G, config)
         affine = None
         if scan:
-            memo[G] = factor_points(G)
+            memo[G] = factor_points(G, pairs)
             affine = sum(1 for P, Q in memo[G]
                          if not (P.is_infinity or Q.is_infinity))
         rows.append(FactorClassification(
@@ -146,27 +152,35 @@ def decide_exceptional(f, config=DEFAULT_CONFIG):
     )
 
 
-def factor_points(G):
+def factor_points(G, candidates=None):
     """Rational points (P, Q) of the closure of G = 0 in the product of
     two projective lines, in P-then-Q scan order.
 
-    G is sliced once per line x = P: a finite P substitutes x, and
-    P = infinity keeps the x-leading coefficients.  A finite Q is a
-    root of the slice; Q = infinity is on the curve when the slice's
+    Candidates are rows (P, Qs) of codes, q standing for infinity, by
+    default the whole grid.  One slice of G per row: a finite P
+    substitutes x, P = infinity keeps the x-leading coefficients.  A
+    finite Q is a root of the slice, Q = infinity when the slice's
     y^deg_y coefficient vanishes.
+
+    For a factor G of Phi, the fiber product of f = p/r of degree n, the
+    pairs with f(P) = f(Q) suffice: G's bihomogenization divides that of
+    (x - y) Phi, p(X) r(Y) - p(Y) r(X) with p, r homogenized to degree
+    n.  Coprime with deg p = n, they have no common zero on the line, so
+    this form vanishes exactly where f(X) = f(Y), in every chart.
     """
     fld, dx, dy = G.field, G.deg_x, G.deg_y
     q = fld.order
     pts = [ProjPoint(Fel(fld, v)) for v in range(q)] + [INFINITY]
+    if candidates is None:
+        candidates = [(P, range(q + 1)) for P in range(q + 1)]
     out = []
-    for P, pt in enumerate(pts):
+    for P, Qs in candidates:
         if P == q:
             slice_y = UPoly(fld, [c.coefficient(dx) for c in G.ycoeffs])
         else:
             slice_y = G._at_x(P)
-        out.extend((pt, pts[Q]) for Q in range(q) if not slice_y._at(Q))
-        if slice_y.degree < dy:
-            out.append((pt, INFINITY))
+        out.extend((pts[P], pts[Q]) for Q in Qs
+                   if (slice_y.degree < dy if Q == q else not slice_y._at(Q)))
     return out
 
 

@@ -244,6 +244,41 @@ def test_analyze_skips_validators_above_point_pair_cap(capsys):
             "diagonal bound=skipped") in out
 
 
+def test_analyze_checks_validators_at_the_largest_prime_within_cap(capsys):
+    # (2039 + 1)^2 point pairs stay within the default enumeration cap
+    # 2^22, so both validators run; x^3 is a bijection of F_2039 since
+    # 3 does not divide 2038
+    code, out, _ = run(capsys, ["--json", "analyze", "--p", "2039",
+                                "--num", "x^3", "--den", "1", "--m", "1",
+                                "--census-m", "1"])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["audits"][0]["bijective"] is True
+    assert res["validators"] == {
+        "intersection_violations": 0,
+        "diagonal_bound": {"status": "checked", "violations": 0}}
+    # x^2 + xy + y^2 splits over F_{2039^2} and meets F_2039^2 at (0, 0)
+    [row] = res["exceptionality"]["factors"]
+    assert (row["components"], row["affine_points"]) == (2, 1)
+    assert res["censuses"][0]["histogram"] == [{"type": [1, 2], "count": 2038}]
+    assert res["branch_points"] == res["censuses"][0]["branch_points"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--m", "1,1", "extension degree 1 is repeated in '1,1'"),
+    ("--census-m", "1, 2,01", "extension degree 1 is repeated in '1, 2,01'"),
+    ("--m", "1,x", "degree 'x' in '1,x' is not a positive integer"),
+    ("--census-m", "1.5", "degree '1.5' in '1.5' is not a positive integer"),
+    ("--m", "2,-1", "degree '-1' in '2,-1' is not a positive integer"),
+])
+def test_analyze_rejects_malformed_degree_lists(capsys, flag, value, message):
+    code, out, err = run(capsys, ["--json", "analyze", "--p", "5",
+                                  "--num", "x^3", "--den", "1", flag, value])
+    assert code == 1 and out == ""
+    assert message in err
+    assert "invalid literal" not in err
+
+
 @pytest.mark.parametrize("p, m, reason", [
     ("5", "2", "m=1 was not audited"),          # x^3 is bijective on F_5
     ("7", "1", "map is not injective at m=1"),  # 3 | 7 - 1

@@ -6,7 +6,7 @@ import pytest
 from exccover.config import Config
 from exccover.errors import CapExceeded, NotSeparable, WildCase
 from exccover.gf import is_prime, make_field, nth_power_solution_count
-from exccover.polyfactor import UPoly
+from exccover.polyfactor import UPoly, splitting_type, upoly_gcd
 from exccover.covers import (
     INFINITY,
     ProjPoint,
@@ -264,6 +264,59 @@ def test_census_matches_cyclic_prediction():
         prediction = cycle_type_histogram(spec)
         observed = {t: Fraction(c, total) for t, c in census.histogram.items()}
         assert observed == prediction
+
+
+def _census_by_factoring(f, m):
+    """Oracle: the census with every fiber factored, branch points found
+    as the t whose fiber polynomial is not squarefree of degree n."""
+    from exccover.gf import extension
+
+    ext, emb = extension(f.field, m)
+    fe = f.over(emb)
+    hist, branch = {}, set()
+    for t in ext.elements():
+        phi = fe.num - fe.den * t
+        if phi.degree != f.degree or upoly_gcd(phi, phi.derivative()).degree > 0:
+            branch.add(ProjPoint.finite(t))
+            continue
+        st = splitting_type(phi)
+        hist[st] = hist.get(st, 0) + 1
+    if (f.degree - f.den.degree > 1
+            or upoly_gcd(fe.den, fe.den.derivative()).degree > 0):
+        branch.add(INFINITY)
+    else:
+        st = tuple(sorted((splitting_type(fe.den) if fe.den.degree > 0 else ())
+                          + (f.degree - f.den.degree,)))
+        hist[st] = hist.get(st, 0) + 1
+    return hist, frozenset(branch)
+
+
+def test_census_matches_factoring_every_fiber():
+    # fiber types come from the fiber sizes where n - a_1 <= 3; degree 6
+    # also reaches the factoring fallback for fibers with roots
+    rng = random.Random(47)
+    fallback_with_roots = 0
+    for p, k in ((5, 1), (7, 1), (2, 2), (3, 2)):
+        F = make_field(p, k)
+        for n in range(2, 7):
+            while True:
+                num = UPoly(F, [rng.randrange(F.order) for _ in range(n)] + [1])
+                den = UPoly(F, [rng.randrange(F.order)
+                                for _ in range(rng.randrange(n))] + [1])
+                try:
+                    f = RationalMap(num, den)
+                except NotSeparable:
+                    continue
+                if f.degree == n:
+                    break
+            for m in (1, 2):
+                census = splitting_census(f, m)
+                hist, branch = _census_by_factoring(f, m)
+                assert census.histogram == hist, (p, k, n, m)
+                assert census.branch_points == branch
+                fallback_with_roots += sum(
+                    c for t, c in hist.items() if 0 < t.count(1) <= n - 4)
+    assert fallback_with_roots > 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from exccover.covers import (
     ProjPoint,
     RationalMap,
     audit_rational_map,
+    eval_map,
     mobius_postcompose,
     mobius_precompose,
 )
@@ -301,6 +302,60 @@ def test_intersection_property_reports_unramified_meetings():
         (1, 1), (2, 1), (2, 2), (2, 5), (6, 1)]
     assert all(v.detail == "intersection point with an unramified coordinate"
                for v in violations)
+
+
+def _dickson(field, n, a):
+    # D_0 = 2, D_1 = x, D_n = x D_{n-1} - a D_{n-2}
+    a = field.element(a)
+    prev, cur = UPoly.constant(field, field.element(2)), UPoly.x(field)
+    for _ in range(n - 1):
+        prev, cur = cur, cur * UPoly.x(field) - prev * a
+    return cur
+
+
+def _map_with_poles(field, n, rng):
+    """A seeded separable map of degree n whose denominator has a
+    rational root."""
+    while True:
+        num = UPoly(field, [rng.randrange(field.order) for _ in range(n)] + [1])
+        den = UPoly(field, (rng.randrange(field.order), 1)) * UPoly(
+            field, [rng.randrange(field.order) for _ in range(n - 2)] + [1])
+        try:
+            f = RationalMap(num, den)
+        except NotSeparable:
+            continue
+        if f.degree == n and f.den.degree == n - 1:
+            return f
+
+
+def test_same_fiber_points_match_the_full_grid():
+    # decide_exceptional enumerates each factor's points on the pairs
+    # with f(P) = f(Q) only; the full grid of P^1 x P^1 must give the
+    # same points in the same order, and every one lies in one fiber
+    rng = random.Random(31)
+    maps = [monomial_map(make_field(p, k), n)
+            for (p, k), n in (((5, 1), 3), ((7, 1), 3), ((2, 2), 3),
+                              ((3, 2), 4), ((13, 1), 4), ((2, 3), 5))]
+    for (p, k), n, a in (((7, 1), 3, 1), ((7, 1), 5, 2), ((3, 2), 4, 1),
+                         ((11, 1), 5, 3)):
+        F = make_field(p, k)
+        maps.append(RationalMap(_dickson(F, n, a), UPoly.one(F)))
+    for p, k in ((5, 1), (7, 1), (11, 1), (2, 2), (3, 2), (2, 3)):
+        F = make_field(p, k)
+        for n in (3, 4, 5):
+            maps.append(_map_with_poles(F, n, rng))
+    pole_meets_infinity = 0
+    for f in maps:
+        rep = decide_exceptional(f)
+        for row in rep.factors:
+            assert row.poly in rep.point_memo
+            grid = factor_points(row.poly)
+            assert rep.points(row.poly) == grid, (f.num, f.den, row.poly)
+            assert all(eval_map(f, P) == eval_map(f, Q) for P, Q in grid)
+            pole_meets_infinity += sum(
+                1 for P, Q in grid if Q.is_infinity and not P.is_infinity)
+    # the fiber over infinity holds the poles and infinity itself
+    assert pole_meets_infinity >= 10
 
 
 def test_is_ramified_at():
