@@ -273,7 +273,12 @@ def load_group_spec(path, config=DEFAULT_CONFIG):
     for needed in ("A", "G", "a"):
         if needed not in sections:
             raise ValueError(f"group spec is missing section [{needed}]")
-    deg = int(sections["deg"][0]) if sections.get("deg") else max_point + 1
+    deg = max_point + 1
+    if sections.get("deg"):
+        raw = sections["deg"][0]
+        if not raw.isdecimal() or int(raw) < 1:
+            raise ValueError(f"[deg] {raw!r} is not a positive integer")
+        deg = int(raw)
     A = PermGroup(deg, [parse_cycles(t, deg) for t in sections["A"]], config)
     G = PermGroup(deg, [parse_cycles(t, deg) for t in sections["G"]], config)
     if len(sections["a"]) != 1:
@@ -384,29 +389,19 @@ def cmd_analyze(args, config):
     branch = (BranchLocus(1, census1.branch_points, 2 * f.degree - 2)
               if census1 is not None else ramified_rational_points(f, 1, config))
 
-    if (q + 1) ** 2 > config.enumeration_cap:
-        # both validators are capped by the rational point pairs of P^1 x P^1
-        skipped = {"status": "skipped",
-                   "reason": f"(q+1)^2 = {(q + 1) ** 2} point pairs exceed "
-                             f"the enumeration cap {config.enumeration_cap}"}
-        validators = {"intersection_violations": skipped,
-                      "diagonal_bound": skipped}
-        inter_text = "skipped"
+    validators = {"intersection_violations":
+                  len(validate_intersection_property(report))}
+    audit1 = next((a for a in audits if a.m == 1), None)
+    if audit1 is None:
+        validators["diagonal_bound"] = {
+            "status": "skipped", "reason": "m=1 was not audited"}
+    elif audit1.injective:
+        diag = validate_diagonal_bound(report, audit1)
+        validators["diagonal_bound"] = {"status": "checked",
+                                        "violations": len(diag)}
     else:
-        inter = validate_intersection_property(report, config)
-        inter_text = len(inter)
-        validators = {"intersection_violations": inter_text}
-        audit1 = next((a for a in audits if a.m == 1), None)
-        if audit1 is None:
-            validators["diagonal_bound"] = {
-                "status": "skipped", "reason": "m=1 was not audited"}
-        elif audit1.injective:
-            diag = validate_diagonal_bound(report, audit1, config)
-            validators["diagonal_bound"] = {"status": "checked",
-                                            "violations": len(diag)}
-        else:
-            validators["diagonal_bound"] = {
-                "status": "skipped", "reason": "map is not injective at m=1"}
+        validators["diagonal_bound"] = {
+            "status": "skipped", "reason": "map is not injective at m=1"}
 
     thresholds = threshold_report(f.degree, 0)
     norm = None
@@ -477,7 +472,8 @@ def cmd_analyze(args, config):
         lines.append(f"census m={c.m}: {hist}")
     lines.append("branch points: " + _points_text(branch.points)
                  + f" (bound {branch.bound})")
-    lines.append(f"validators: intersection violations={inter_text}, "
+    lines.append("validators: intersection violations="
+                 f"{validators['intersection_violations']}, "
                  f"diagonal bound={validators['diagonal_bound']['status']}")
     return results, lines
 

@@ -10,7 +10,7 @@ check the intersection and point-count facts the verdict relies on.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from math import lcm
 
 from .config import DEFAULT_CONFIG
@@ -61,14 +61,26 @@ def fiber_product_poly(f):
 
 @dataclass(frozen=True)
 class FactorClassification:
-    """One arithmetic factor of the fiber-product polynomial."""
+    """One arithmetic factor of the fiber-product polynomial.
+
+    ``points`` holds the factor's rational points, ``factor_points`` on
+    the map's same-fiber rows, or None when q exceeds the enumeration
+    cap; ``affine_points`` counts the finite ones among them.
+    """
 
     poly: BPoly
     multiplicity: int
     components: int
     absolutely_irreducible: bool
     field_of_definition_degree: int
-    affine_points: int = None
+    points: tuple = None
+
+    @property
+    def affine_points(self):
+        if self.points is None:
+            return None
+        return sum(1 for P, Q in self.points
+                   if not (P.is_infinity or Q.is_infinity))
 
 
 @dataclass(frozen=True)
@@ -77,10 +89,8 @@ class ExceptionalityReport:
 
     ``component_definition_lcm`` is the least common multiple of the
     factors' fields of definition; it is a report field only, used to
-    schedule which extension degrees keep the verdict meaningful.
-    ``point_memo`` maps a factor polynomial to its ``factor_points``;
-    it is keyed by value, so a report or row copied with another
-    polynomial never reads stale points.
+    schedule which extension degrees keep the verdict meaningful.  The
+    validators read each factor's points from its row.
     """
 
     map: RationalMap
@@ -89,14 +99,6 @@ class ExceptionalityReport:
     exceptional: bool
     component_definition_lcm: int
     diagonal_recurrence: bool
-    point_memo: dict = dataclass_field(default_factory=dict, repr=False,
-                                       compare=False)
-
-    def points(self, G):
-        """``factor_points(G)``, enumerated at most once per report."""
-        if G not in self.point_memo:
-            self.point_memo[G] = factor_points(G)
-        return self.point_memo[G]
 
 
 def _diagonal_canonical(field):
@@ -114,30 +116,24 @@ def decide_exceptional(f, config=DEFAULT_CONFIG):
     phi = fiber_product_poly(f)
     cert = factor_bivariate(phi, config)
     diag = _diagonal_canonical(f.field)
-    # affine counts only while q^2 stays within the enumeration cap
-    scan = f.field.order ** 2 <= config.enumeration_cap
+    # points only while the walk over F_q stays within the enumeration cap
+    scan = f.field.order <= config.enumeration_cap
     if scan:  # rows (P, the Q with f(Q) = f(P)); code q is infinity, fixed by f
         images = [*_images(f), None]
         fibers = {}
         for x, t in enumerate(images):
             fibers.setdefault(t, []).append(x)
         pairs = [(P, fibers[t]) for P, t in enumerate(images)]
-    memo = {}
     rows = []
     for G, mult in cert.factors:
         c = absolute_component_count(G, config)
-        affine = None
-        if scan:
-            memo[G] = factor_points(G, pairs)
-            affine = sum(1 for P, Q in memo[G]
-                         if not (P.is_infinity or Q.is_infinity))
         rows.append(FactorClassification(
             poly=G,
             multiplicity=mult,
             components=c,
             absolutely_irreducible=(c == 1),
             field_of_definition_degree=c,
-            affine_points=affine,
+            points=tuple(factor_points(G, pairs)) if scan else None,
         ))
     exceptional = all(not row.absolutely_irreducible for row in rows)
     k = lcm(*(row.components for row in rows)) if rows else 1
@@ -148,31 +144,29 @@ def decide_exceptional(f, config=DEFAULT_CONFIG):
         exceptional=exceptional,
         component_definition_lcm=k,
         diagonal_recurrence=any(row.poly == diag for row in rows),
-        point_memo=memo,
     )
 
 
-def factor_points(G, candidates=None):
+def factor_points(G, candidates):
     """Rational points (P, Q) of the closure of G = 0 in the product of
-    two projective lines, in P-then-Q scan order.
+    two projective lines among the candidates, in their scan order.
 
-    Candidates are rows (P, Qs) of codes, q standing for infinity, by
-    default the whole grid.  One slice of G per row: a finite P
-    substitutes x, P = infinity keeps the x-leading coefficients.  A
-    finite Q is a root of the slice, Q = infinity when the slice's
-    y^deg_y coefficient vanishes.
+    Candidates are rows (P, Qs) of codes, q standing for infinity; rows
+    listed by P, each Qs ascending, give P-then-Q order.  One slice of G
+    per row: a finite P substitutes x, P = infinity keeps the x-leading
+    coefficients.  A finite Q is a root of the slice, Q = infinity when
+    the slice's y^deg_y coefficient vanishes.
 
     For a factor G of Phi, the fiber product of f = p/r of degree n, the
     pairs with f(P) = f(Q) suffice: G's bihomogenization divides that of
     (x - y) Phi, p(X) r(Y) - p(Y) r(X) with p, r homogenized to degree
     n.  Coprime with deg p = n, they have no common zero on the line, so
-    this form vanishes exactly where f(X) = f(Y), in every chart.
+    this form vanishes exactly where f(X) = f(Y), in every chart.  Those
+    are at most n(q+1) pairs, so one factor costs O(q) slices and tests.
     """
     fld, dx, dy = G.field, G.deg_x, G.deg_y
     q = fld.order
     pts = [ProjPoint(Fel(fld, v)) for v in range(q)] + [INFINITY]
-    if candidates is None:
-        candidates = [(P, range(q + 1)) for P in range(q + 1)]
     out = []
     for P, Qs in candidates:
         if P == q:
@@ -199,18 +193,23 @@ class Violation:
     detail: str
 
 
-def validate_intersection_property(report, config=DEFAULT_CONFIG):
+def _row_points(row):
+    if row.points is None:
+        raise CapExceeded("the factor's points were not enumerated: "
+                          "q exceeds the enumeration cap")
+    return row.points
+
+
+def validate_intersection_property(report):
     """Every rational point on two distinct factors (or on a factor and
     the diagonal) must have the map ramified at both coordinates.
 
     Returns the list of violations, in P-then-Q scan order; the
-    structural contract is that it is empty.
+    structural contract is that it is empty.  Raises ``CapExceeded``
+    when a row carries no points.
     """
     f = report.map
-    q = f.field.order
-    if (q + 1) ** 2 > config.enumeration_cap:
-        raise CapExceeded("point scan of the fiber product is infeasible")
-    on = Counter(pq for row in report.factors for pq in report.points(row.poly))
+    on = Counter(pq for row in report.factors for pq in _row_points(row))
     violations = []
     for P, Q in sorted(on, key=lambda pq: (pq[0].sort_key(), pq[1].sort_key())):
         meets_several = on[P, Q] >= 2 or P == Q
@@ -220,22 +219,20 @@ def validate_intersection_property(report, config=DEFAULT_CONFIG):
     return violations
 
 
-def validate_diagonal_bound(report, audit, config=DEFAULT_CONFIG):
+def validate_diagonal_bound(report, audit):
     """For a map injective on rational points, every nondiagonal factor
-    carries at most 2 g_X + 2n - 2 rational points (g_X = 0 here)."""
+    carries at most 2 g_X + 2n - 2 rational points (g_X = 0 here).
+    Raises ``CapExceeded`` when a nondiagonal row carries no points."""
     if audit.m != 1 or not audit.injective:
         raise PreconditionFailed("the audit must report injectivity at m = 1")
     f = report.map
-    q = f.field.order
-    if (q + 1) ** 2 > config.enumeration_cap:
-        raise CapExceeded("point scan of the fiber product is infeasible")
     diag = _diagonal_canonical(f.field)
     bound = 2 * f.degree - 2
     violations = []
     for row in report.factors:
         if row.poly == diag:
             continue
-        count = len(report.points(row.poly))
+        count = len(_row_points(row))
         if count > bound:
             violations.append(Violation(
                 (row.poly,), f"{count} rational points exceed the bound {bound}"))

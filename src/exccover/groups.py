@@ -219,6 +219,7 @@ class PermGroup:
             act = lambda g, st: (g(st[0]), g(st[1]))
         else:
             raise ValueError(f"unknown action {action!r}")
+        gens = self.generators or [Perm.identity(self.deg)]
         seen = set()
         out = []
         for start in points:
@@ -229,7 +230,7 @@ class PermGroup:
             while frontier:
                 nxt = []
                 for s in frontier:
-                    for g in self.generators or [Perm.identity(self.deg)]:
+                    for g in gens:
                         t = act(g, s)
                         if t not in orbit:
                             orbit.add(t)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -226,22 +227,26 @@ def test_analyze_cap_exit_code(capsys):
     assert code == 2
 
 
-def test_analyze_skips_validators_above_point_pair_cap(capsys):
+def test_analyze_checks_validators_above_the_old_point_pair_cap(capsys):
     # (2053 + 1)^2 point pairs exceed the default enumeration cap 2^22,
-    # while every other stage stays within it
-    argv = ["analyze", "--p", "2053", "--num", "x^3", "--den", "1", "--m", "1"]
+    # but the factor points come from the same-fiber pairs and need only
+    # q <= cap; x^5 is a bijection of F_2053 since gcd(5, 2052) = 1
+    argv = ["analyze", "--p", "2053", "--num", "x^5", "--den", "1", "--m", "1"]
     code, out, _ = run(capsys, ["--json"] + argv)
     assert code == 0
     res = json.loads(out)["results"]
-    assert res["audits"][0]["m"] == 1
-    for name in ("intersection_violations", "diagonal_bound"):
-        stage = res["validators"][name]
-        assert stage["status"] == "skipped"
-        assert "enumeration cap 4194304" in stage["reason"]
+    assert res["audits"][0]["bijective"] is True
+    assert res["validators"] == {
+        "intersection_violations": 0,
+        "diagonal_bound": {"status": "checked", "violations": 0}}
+    rows = res["exceptionality"]["factors"]
+    assert rows and all(type(row["affine_points"]) is int for row in rows)
     code, out, _ = run(capsys, argv)
     assert code == 0
-    assert ("validators: intersection violations=skipped, "
-            "diagonal bound=skipped") in out
+    assert ("validators: intersection violations=0, "
+            "diagonal bound=checked") in out
+    counts = re.findall(r"affine_points=(\S+)", out)
+    assert counts == [str(row["affine_points"]) for row in rows]
 
 
 def test_analyze_checks_validators_at_the_largest_prime_within_cap(capsys):
@@ -372,6 +377,15 @@ def test_groups_spec_missing_section(tmp_path, capsys):
     spec.write_text("[A]\n(0 1)\n")
     code, _, err = run(capsys, ["groups", "--spec", str(spec)])
     assert code == 1
+
+
+@pytest.mark.parametrize("deg", ["-1", "0", "x"])
+def test_groups_spec_refuses_a_degree_that_is_not_positive(tmp_path, capsys, deg):
+    spec = tmp_path / "bad.grp"
+    spec.write_text(f"[deg]\n{deg}\n[A]\n()\n[G]\n()\n[a]\n()\n")
+    code, out, err = run(capsys, ["--json", "groups", "--spec", str(spec)])
+    assert code == 1 and out == ""
+    assert f"[deg] {deg!r} is not a positive integer" in err
 
 
 def test_bounds_subcommand(capsys):

@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from exccover.errors import NotSeparable, PreconditionFailed
+from exccover.config import Config
+from exccover.errors import CapExceeded, NotSeparable, PreconditionFailed
 from exccover.gf import is_prime, make_field
 from exccover.polyfactor import BPoly, UPoly, bpoly_div_exact
 from exccover.covers import (
@@ -270,6 +271,11 @@ def test_not_exceptional_above_refined_threshold_not_injective():
 # Structural validators.
 
 
+def _grid(q):
+    """Every pair of P^1 x P^1 as factor_points rows, code q for infinity."""
+    return [(P, range(q + 1)) for P in range(q + 1)]
+
+
 def test_intersection_property_examples():
     F5 = make_field(5)
     rep = decide_exceptional(monomial_map(F5, 2))
@@ -295,7 +301,9 @@ def test_intersection_property_reports_unramified_meetings():
         BPoly(F7, [UPoly(F7, (-2, 1))]),                             # x - 2
         BPoly(F7, [UPoly.x(F7), UPoly.one(F7)]),                     # x + y
     )
-    rows = tuple(replace(rep.factors[0], poly=G) for G in lines)
+    rows = tuple(replace(rep.factors[0], poly=G,
+                         points=tuple(factor_points(G, _grid(7))))
+                 for G in lines)
     violations = validate_intersection_property(replace(rep, factors=rows))
     assert [(P.x.to_int(), Q.x.to_int()) for P, Q in
             (v.point_pair for v in violations)] == [
@@ -348,9 +356,8 @@ def test_same_fiber_points_match_the_full_grid():
     for f in maps:
         rep = decide_exceptional(f)
         for row in rep.factors:
-            assert row.poly in rep.point_memo
-            grid = factor_points(row.poly)
-            assert rep.points(row.poly) == grid, (f.num, f.den, row.poly)
+            grid = tuple(factor_points(row.poly, _grid(f.field.order)))
+            assert row.points == grid, (f.num, f.den, row.poly)
             assert all(eval_map(f, P) == eval_map(f, Q) for P, Q in grid)
             pole_meets_infinity += sum(
                 1 for P, Q in grid if Q.is_infinity and not P.is_infinity)
@@ -375,7 +382,7 @@ def test_diagonal_bound_examples():
     assert validate_diagonal_bound(rep, audit) == []
     # the conic factor meets the product line at the origin and at the
     # doubly-infinite point, staying within the bound of 4
-    count = len(factor_points(rep.factors[0].poly))
+    count = len(rep.factors[0].points)
     assert count == 2
     # independent oracle: scan the four charts directly
     pts = 0
@@ -394,6 +401,23 @@ def test_diagonal_bound_quintic():
     rep = decide_exceptional(f)
     audit = audit_rational_map(f, 1)
     assert validate_diagonal_bound(rep, audit) == []
+
+
+def test_factor_points_and_validators_need_q_within_the_enumeration_cap():
+    F5 = make_field(5)
+    cube = monomial_map(F5, 3)
+    audit = audit_rational_map(cube, 1)
+    assert audit.injective
+    within = decide_exceptional(cube, Config(enumeration_cap=5))
+    assert [row.affine_points for row in within.factors] == [1]
+    rep = decide_exceptional(cube, Config(enumeration_cap=4))
+    assert rep.exceptional == within.exceptional
+    assert [(row.points, row.affine_points) for row in rep.factors] == [
+        (None, None)]
+    with pytest.raises(CapExceeded):
+        validate_intersection_property(rep)
+    with pytest.raises(CapExceeded):
+        validate_diagonal_bound(rep, audit)
 
 
 def test_diagonal_bound_requires_injectivity():

@@ -69,6 +69,23 @@ def test_orbits():
     assert sizes == [3, 6]
 
 
+def test_orbits_of_the_trivial_group_build_one_identity(monkeypatch):
+    G = PermGroup(300, ())
+    built = []
+    identity = Perm.identity
+
+    def counting(cls, deg):
+        built.append(deg)
+        return identity(deg)
+
+    monkeypatch.setattr(Perm, "identity", classmethod(counting))
+    orbits = G.orbits("ordered_pairs")
+    assert len(built) <= 1
+    assert len(orbits) == 90_000 and all(len(o) == 1 for o in orbits)
+    assert set().union(*orbits) == {(s, t) for s in range(300)
+                                     for t in range(300)}
+
+
 def test_normality_and_quotient():
     assert A3().is_normal_in(S3())
     H = PermGroup(3, [Perm.from_cycles(3, [(0, 1)])])
