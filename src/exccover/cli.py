@@ -279,6 +279,8 @@ def load_group_spec(path, config=DEFAULT_CONFIG):
         if not raw.isdecimal() or int(raw) < 1:
             raise ValueError(f"[deg] {raw!r} is not a positive integer")
         deg = int(raw)
+    elif deg < 1:
+        raise ValueError("the spec names no point; give its degree in [deg]")
     A = PermGroup(deg, [parse_cycles(t, deg) for t in sections["A"]], config)
     G = PermGroup(deg, [parse_cycles(t, deg) for t in sections["G"]], config)
     if len(sections["a"]) != 1:

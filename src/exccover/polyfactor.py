@@ -8,11 +8,14 @@ polynomial in y whose coefficients are UPolys in x.
 
 The univariate factorizer is the classical squarefree / distinct-degree /
 equal-degree pipeline with a configuration-fixed seed for the randomized
-splits.  The bivariate factorizer splits off the content in x and takes
-the first good line x = x0 of the primitive part P, one that keeps deg_y
-and leaves P(x0, y) squarefree: the specialization is factored,
-Hensel-lifted to twice the x-degree bound, and recombined by exhaustive
-subset search with exact trial division.
+splits.  The bivariate factorizer splits off the content in x and sends
+the primitive part P down the first of four branches that applies (see
+``_distinct_bivariate_factors``): a good line x = x0, one that keeps
+deg_y and leaves P(x0, y) squarefree, whose specialization is factored,
+Hensel-lifted to twice the x-degree bound and recombined by exhaustive
+subset search with exact trial division; P_y = 0, through P = C(x, y^p);
+gcd(P, P_y) = 1, at a good line over an extension; otherwise through the
+separable part P / gcd(P, P_y).
 
 The component count of an F_q-irreducible factor divides gcd(deg_x,
 deg_y) and every factor degree of its restriction to a good line; when
@@ -733,11 +736,6 @@ def bgcd(F, G):
     return (a * c).canonical()
 
 
-def _compress_y(F):
-    """Substitute y^p -> y when every y-exponent is divisible by p."""
-    return BPoly(F.field, F.coeffs[::F.field.p])
-
-
 def _series_inverse(u, prec):
     """Power series inverse of u mod x^prec; u(0) must be nonzero."""
     F, cs = u.field, u._c
@@ -791,15 +789,6 @@ def _hensel_lift_factors(Wstar, u_factors, prec):
     return lifted
 
 
-def _specialization_ok(W, x0):
-    u = W.substitute_x(x0)
-    if u.degree != W.deg_y:
-        return None
-    if upoly_gcd(u, u.derivative()).degree != 0:
-        return None
-    return u
-
-
 def _frobenius_bpoly(F, power):
     """Apply the coefficient Frobenius z -> z^power."""
     return F.map_coefficients(lambda c: c ** power, F.field)
@@ -809,23 +798,18 @@ def _good_lines(W):
     """(x0, W(x0, y)) for each line x = x0 over W's field, in enumeration
     order, that keeps deg_y and leaves W(x0, y) squarefree."""
     for x0 in W.field.elements():
-        u = _specialization_ok(W, x0)
-        if u is not None:
+        u = W.substitute_x(x0)
+        if u.degree == W.deg_y and upoly_gcd(u, u.derivative()).degree == 0:
             yield x0, u
 
 
-def _hensel_factor_squarefree(W, config):
-    """Irreducible factors of W: primitive, squarefree, separable in y."""
+def _factor_at_extension_line(W, config):
+    """Irreducible factors of W (primitive, squarefree, separable in y),
+    found at the first good line over F_{Q^e}, e >= 2."""
     fld = W.field
-    n = W.deg_y
-    if n == 1:
-        return [W.canonical()]
-    line = next(_good_lines(W), None)
-    if line is not None:
-        return _hensel_at_line(W, line[0], config)
     # bad lines are roots of lc_y(W) * disc_y(W), of x-degree at most
     # (2 deg_y - 1) deg_x, so every field with more elements has a good line
-    bad_degree = (2 * n - 1) * W.deg_x
+    bad_degree = (2 * W.deg_y - 1) * W.deg_x
     last = 2
     while fld.order ** last <= bad_degree:
         last += 1
@@ -927,12 +911,19 @@ def _hensel_at_line(W, x0, config):
 def _distinct_bivariate_factors(F, config):
     """Set of canonical irreducible factors of a nonconstant BPoly.
 
-    The content in x is factored as a univariate polynomial.  The first
-    good line x = x0 of the primitive part P certifies that P is
-    squarefree and separable in y (a square factor or a factor in y^p
-    would survive on the line), so P goes straight to the Hensel lift at
-    x0.  Only when no F_q-line is good does the bivariate gcd chain split
-    P into squarefree, y-separable parts and a p-th power residue first.
+    The content in x is factored as a univariate polynomial, and the
+    primitive part P = prod g_i^e_i takes the first branch that applies:
+    1. A good F_q-line certifies that P is squarefree and separable in y
+       (a square or a factor in y^p would survive on it): Hensel at it.
+    2. P_y = 0, so P = C(x, y^p).  For an irreducible factor h of C, a
+       root of h(x, y^p) has degree 1 or p over the field of its p-th
+       power, so h(x, y^p) is irreducible or a p-th power, the latter
+       exactly when it lies in F_q[x^p, y^p]: its x-derivative is zero.
+    3. gcd(P, P_y) = 1: P is squarefree and separable in y, so a large
+       enough extension has a good line.
+    4. Otherwise gcd(P, P_y) holds g_i^e_i when g_i,y = 0 or p | e_i and
+       g_i^(e_i - 1) else, so P / gcd(P, P_y) is the product of the other
+       g_i; dividing them out of P leaves a residue for branch 2.
     """
     fld = F.field
     out = set()
@@ -954,57 +945,36 @@ def _distinct_bivariate_factors(F, config):
     if line is not None:
         out.update(_hensel_at_line(P, line[0], config))
         return out
-    Px, Py = P.derivative_x(), P.derivative_y()
-    if Px.is_zero() and Py.is_zero():
-        root = P._new([_pth_root_upoly(c) for c in P._c[::fld.p]])
-        out.update(_distinct_bivariate_factors(root, config))
+    Py = P.derivative_y()
+    if Py.is_zero():
+        p, zero = fld.p, UPoly.zero(fld)
+        for h in _distinct_bivariate_factors(P._new(P._c[::p]), config):
+            g = P._new([h._c[j // p] if j % p == 0 else zero
+                        for j in range(p * h.deg_y + 1)])
+            if g.derivative_x().is_zero():
+                g = g._new([_pth_root_upoly(c) for c in g._c[::p]])
+            out.add(g.canonical())
         return out
-    G = P
-    if not Px.is_zero():
-        G = bgcd(G, Px)
-    else:
-        G = bgcd(G, Py)
-    if not Py.is_zero() and not Px.is_zero():
-        G = bgcd(G, Py)
-    W = bpoly_div_exact(P, G)
-    assert W is not None, "gcd must divide"
-    if W.total_degree > 0:
-        out.update(_factor_squarefree_primitive(W.canonical(), config))
-    # divide out everything found so far; the residue is a p-th power
+    G = bgcd(P, Py)
+    if G.total_degree == 0:
+        out.update(_factor_at_extension_line(P, config))
+        return out
+    separable = _distinct_bivariate_factors(bpoly_div_exact(P, G), config)
     R = P
-    for g in out:
-        while True:
-            quo = bpoly_div_exact(R, g)
-            if quo is None:
-                break
-            R = quo
-    if R.total_degree > 0:
-        out.update(_distinct_bivariate_factors(R, config))
+    for g in separable:
+        R = _divide_out(R, g)[0]
+    out |= separable
+    if R.deg_y > 0:
+        out |= _distinct_bivariate_factors(R, config)
     return out
 
 
-def _factor_squarefree_primitive(W, config):
-    """Irreducible factors of a squarefree primitive W with deg_y >= 1,
-    allowing y-inseparable factors."""
-    fld = W.field
-    Wy = W.derivative_y()
-    if Wy.is_zero():
-        inner = _factor_squarefree_primitive(_compress_y(W).canonical(), config)
-        zero, p = UPoly.zero(fld), fld.p
-        # y -> y^p in each factor of the compressed W
-        return {BPoly(fld, [g.coeffs[j // p] if j % p == 0 else zero
-                            for j in range(p * g.deg_y + 1)]).canonical()
-                for g in inner}
-    A = bgcd(W, Wy)
-    if A.total_degree == 0:
-        return set(_hensel_factor_squarefree(W, config))
-    # A is the product of the factors in y^p; W / A divides W, so it is
-    # primitive, and it keeps deg_y >= 1 because W does not divide W_y
-    W1 = bpoly_div_exact(W, A)
-    assert W1 is not None
-    out = _factor_squarefree_primitive(A.canonical(), config)
-    out.update(_hensel_factor_squarefree(W1.canonical(), config))
-    return out
+def _divide_out(F, g):
+    """(F / g^m, m) for the largest m with g^m dividing F."""
+    m = 0
+    while (quo := bpoly_div_exact(F, g)) is not None:
+        F, m = quo, m + 1
+    return F, m
 
 
 def factor_bivariate(F, config=DEFAULT_CONFIG):
@@ -1022,13 +992,7 @@ def factor_bivariate(F, config=DEFAULT_CONFIG):
     factors = []
     R = F
     for g in sorted(distinct, key=_sort_key_bpoly):
-        mult = 0
-        while True:
-            quo = bpoly_div_exact(R, g)
-            if quo is None:
-                break
-            R = quo
-            mult += 1
+        R, mult = _divide_out(R, g)
         assert mult > 0, "discovered factor must divide"
         factors.append((g, mult))
     assert R.total_degree == 0, "residue after factor removal must be a unit"

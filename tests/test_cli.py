@@ -388,6 +388,16 @@ def test_groups_spec_refuses_a_degree_that_is_not_positive(tmp_path, capsys, deg
     assert f"[deg] {deg!r} is not a positive integer" in err
 
 
+def test_groups_spec_without_points_needs_a_degree(tmp_path, capsys):
+    # with no [deg] the degree is inferred from the largest point named,
+    # and a spec naming none would otherwise get degree 0
+    spec = tmp_path / "bad.grp"
+    spec.write_text("[A]\n()\n[G]\n()\n[a]\n()\n")
+    code, out, err = run(capsys, ["--json", "groups", "--spec", str(spec)])
+    assert code == 1 and out == ""
+    assert "give its degree in [deg]" in err
+
+
 def test_bounds_subcommand(capsys):
     code, out, _ = run(capsys, ["--json", "bounds", "--n", "5", "--gx", "0"])
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import gcd
 
 import pytest
@@ -692,12 +693,12 @@ def test_component_count_degenerate_factors(q_spec, rows, c):
 def test_hensel_extension_search_is_bounded(monkeypatch, extension_degrees):
     # With no good line anywhere the search stops at the first F_{2^e}
     # with more than (2 deg_y - 1) deg_x = 3 elements, instead of looping.
-    monkeypatch.setattr(polyfactor, "_specialization_ok", lambda W, x0: None)
+    monkeypatch.setattr(polyfactor, "_good_lines", lambda W: iter(()))
     F2 = make_field(2)
     W = BPoly.from_grid(F2, [[F2.element(v) for v in row]
                              for row in [[1, 0, 1], [0, 1]]])  # y^2 + xy + 1
     with pytest.raises(ValueError, match="e <= 2"):
-        polyfactor._hensel_factor_squarefree(W, Config())
+        polyfactor._factor_at_extension_line(W, Config())
     assert extension_degrees == [2]
 
 
@@ -718,7 +719,7 @@ def test_good_line_factors_without_gcd_chain(monkeypatch):
 
 
 def test_fallback_matches_good_line_path():
-    # On squarefree primitive P with a good F_q-line, the gcd-chain
+    # On squarefree primitive P with a good F_q-line, the extension-line
     # fallback and the good-line path find the same factors.
     cfg = Config()
     rng = random.Random(8)
@@ -732,9 +733,86 @@ def test_fallback_matches_good_line_path():
                     or next(polyfactor._good_lines(P), None) is None):
                 continue
             fast = polyfactor._distinct_bivariate_factors(P, cfg)
-            assert polyfactor._factor_squarefree_primitive(P.canonical(), cfg) == fast
+            assert set(polyfactor._factor_at_extension_line(P, cfg)) == fast
             checked += 1
     assert checked >= 16
+
+
+def _y_to_yp(h):
+    F = h.field
+    p, zero = F.p, UPoly.zero(F)
+    return BPoly(F, [h.coeffs[j // p] if j % p == 0 else zero
+                     for j in range(p * h.deg_y + 1)])
+
+
+def _is_irreducible_by_trial_division(g):
+    # a proper factor of g has a bidegree <= that of g, other than g's own
+    F, a, b = g.field, g.deg_x, g.deg_y
+    for cs in itertools.product(range(F.order), repeat=(a + 1) * (b + 1)):
+        d = BPoly.from_grid(F, [[F.from_int(c) for c in cs[i * (b + 1):(i + 1) * (b + 1)]]
+                                for i in range(a + 1)])
+        if (0 < d.total_degree and (d.deg_x, d.deg_y) != (a, b)
+                and bpoly_div_exact(g, d) is not None):
+            return False
+    return True
+
+
+def _branch(pieces):
+    """Branch 2, 3 or 4 of ``_distinct_bivariate_factors`` that the
+    primitive part of prod g^e takes when it has no good F_q-line."""
+    p = pieces[0][0].field.p
+    curves = [(g, e) for g, e in pieces if g.deg_y > 0]
+    if all(g.derivative_y().is_zero() or e % p == 0 for g, e in curves):
+        return 2
+    if all(e == 1 and not g.derivative_y().is_zero() for g, e in curves):
+        return 3
+    return 4
+
+
+def test_fallback_branches_match_a_construction():
+    # P = prod g_i^e_i, e_i in {1, 2, p}, from pieces proved irreducible by
+    # trial division: bidegree <= (2, 2) over F_2, some of them y -> y^2
+    # images, and <= (1, 2) or (2, 1) over F_3.  Only P whose primitive
+    # part has no good F_q-line are kept, so every one takes branch 2, 3
+    # or 4 and the certificate must be the construction.
+    rng = random.Random(12)
+    branches = []
+    images = 0
+    elapsed = 0.0
+    for p, shapes in ((2, ((2, 2), (2, 1), (1, 2), (1, 1))),
+                      (3, ((1, 2), (2, 1), (1, 1)))):
+        F = make_field(p)
+        pieces = set()
+        while len(pieces) < 10:
+            if p == 2 and rng.random() < 0.3:
+                g = _y_to_yp(rand_bpoly(F, 2, 1, rng))
+            else:
+                g = rand_bpoly(F, *rng.choice(shapes), rng)
+            if g.total_degree > 0 and _is_irreducible_by_trial_division(g):
+                pieces.add(g.canonical())
+        pieces = sorted(pieces, key=polyfactor._sort_key_bpoly)
+        kept = 0
+        while kept < 20:
+            chosen = sorted(rng.sample(pieces, rng.randrange(1, 4)),
+                            key=polyfactor._sort_key_bpoly)
+            expect = tuple((g, rng.choice((1, 1, 2, p))) for g in chosen)
+            P = BPoly.one(F)
+            for g, e in expect:
+                P = P * g**e
+            prim = polyfactor.primitive_part_y(P)
+            if prim.deg_y == 0 or next(polyfactor._good_lines(prim), None):
+                continue
+            start = time.perf_counter()
+            cert = factor_bivariate(P)
+            elapsed += time.perf_counter() - start
+            assert cert.factors == expect, P
+            assert cert.product() == P
+            branches.append(_branch(expect))
+            images += any(g.deg_y > 0 and g.derivative_y().is_zero()
+                          for g, _ in expect)
+            kept += 1
+    assert {2, 3, 4} <= set(branches) and images
+    assert elapsed < 2.0
 
 
 def _lift_at_split_line(W):
