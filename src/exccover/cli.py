@@ -15,6 +15,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .config import Config, DEFAULT_CONFIG
@@ -364,6 +365,24 @@ def _parse_m_list(raw, default):
     return out
 
 
+def _within_cap(stage, degrees, q, config, skipped):
+    """The degrees m of the list with q^m within the enumeration cap; each
+    other one goes to ``skipped`` with its reason."""
+    cap = config.enumeration_cap
+    kept = []
+    for m in degrees:
+        if q**m <= cap:
+            kept.append(m)
+        else:
+            skipped.append({"stage": stage, "m": m, "reason":
+                            f"q^m = {q**m} exceeds the enumeration cap {cap}"})
+    return kept
+
+
+def _skipped_text(skipped):
+    return [f"{s['stage']} m={s['m']}: skipped ({s['reason']})" for s in skipped]
+
+
 def _field_from_q(q, config):
     p, k = prime_power_decomposition(q)
     return make_field(p, k, config)
@@ -379,10 +398,11 @@ def cmd_analyze(args, config):
             f"analyze needs a map of degree >= 2; this map has degree {f.degree}")
     q = field.order
 
-    sweep = _parse_m_list(args.m, (1, 2, 3))
-    sweep = [m for m in sweep if q**m <= config.enumeration_cap]
-    census_sweep = _parse_m_list(args.census_m, (1,))
-    census_sweep = [m for m in census_sweep if q**m <= config.enumeration_cap]
+    skipped = []
+    sweep = _within_cap("audit", _parse_m_list(args.m, (1, 2, 3)), q, config,
+                        skipped)
+    census_sweep = _within_cap("census", _parse_m_list(args.census_m, (1,)), q,
+                               config, skipped)
 
     report = decide_exceptional(f, config)
     audits = [audit_rational_map(f, m, config) for m in sweep]
@@ -444,6 +464,9 @@ def cmd_analyze(args, config):
         "validators": validators,
         "thresholds": _threshold_json(thresholds, q),
     }
+    # present only when a degree was dropped, so other reports keep their bytes
+    if skipped:
+        results["skipped_degrees"] = skipped
     if args.group_spec:
         spec = load_group_spec(args.group_spec, config)
         prediction = cycle_type_histogram(spec)
@@ -472,6 +495,7 @@ def cmd_analyze(args, config):
     for c in censuses:
         hist = ", ".join(f"{list(t)}: {n}" for t, n in sorted(c.histogram.items()))
         lines.append(f"census m={c.m}: {hist}")
+    lines += _skipped_text(skipped)
     lines.append("branch points: " + _points_text(branch.points)
                  + f" (bound {branch.bound})")
     lines.append("validators: intersection violations="
@@ -541,10 +565,10 @@ def cmd_superelliptic(args, config):
         raise ValueError("--a and --gamma must be constants")
     cover = omitted_point_cover(field, args.n,
                                 a.coefficient(0), gamma.coefficient(0))
-    sweep = _parse_m_list(args.m, (1,))
-    sweep = [m for m in sweep if field.order**m <= config.enumeration_cap]
-    audits = [audit_superelliptic(cover, m, config) for m in sweep]
     q = field.order
+    skipped = []
+    sweep = _within_cap("audit", _parse_m_list(args.m, (1,)), q, config, skipped)
+    audits = [audit_superelliptic(cover, m, config) for m in sweep]
     formula_genus = (cover.n - 1) * (q - 3) // 2
 
     results = {
@@ -561,6 +585,8 @@ def cmd_superelliptic(args, config):
         },
         "audits": [audit_json(audit) for audit in audits],
     }
+    if skipped:
+        results["skipped_degrees"] = skipped
     lines = [
         f"cover: y^{cover.n} = {_coeff_text(cover.gamma)}*h(x) over {field!r}, "
         f"deg h = {cover.h.degree}",
@@ -572,6 +598,7 @@ def cmd_superelliptic(args, config):
         lines.append(
             f"audit m={audit.m}: injective={audit.injective} "
             f"surjective={audit.surjective} bijective={audit.bijective}")
+    lines += _skipped_text(skipped)
     return results, lines
 
 
@@ -726,6 +753,13 @@ class _Parser(argparse.ArgumentParser):
         raise ExcCoverError(message)
 
 
+@cache
+def _parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def build_parser():
     ap = _Parser(prog="exccover", description=__doc__)
     ap.add_argument("--json", action="store_true",
@@ -792,9 +826,8 @@ def _inputs_echo(args):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except ExcCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,10 +17,13 @@ subset search with exact trial division; P_y = 0, through P = C(x, y^p);
 gcd(P, P_y) = 1, at a good line over an extension; otherwise through the
 separable part P / gcd(P, P_y).
 
-The component count of an F_q-irreducible factor divides gcd(deg_x,
+The component count c of an F_q-irreducible factor divides gcd(deg_x,
 deg_y) and every factor degree of its restriction to a good line; when
-that bound e is 1 nothing more is factored, otherwise the factor is
-factored over F_{Q^e}.
+that bound e is 1 nothing more is factored.  Otherwise the count is
+built as a tower of prime-degree extensions: over F_{Q^l} the factor
+splits exactly when the prime l divides c, and then each of its l
+factors, bounded anew over F_{Q^l}, has c / l components.  Only the
+primes of e are tried, so no field beyond F_{Q^e} is built.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (
     MixedFields,
     NotSquarefree,
 )
-from .gf import Fel, Field, extension, power
+from .gf import Fel, Field, extension, power, prime_factors
 
 
 def _same(c):
@@ -1031,26 +1034,44 @@ def absolute_component_count(G, config=DEFAULT_CONFIG):
     deg_y and squarefreeness the components stay pairwise coprime, so c
     also divides the degree of every F_q-irreducible factor of G(x0, y).
     The gcd e of these degrees over a few such lines bounds c: e = 1
-    proves absolute irreducibility without factoring, and otherwise the
-    components are defined over F_{Q^c}, inside F_{Q^e}, so factoring G
-    over F_{Q^e} counts them exactly.
+    proves absolute irreducibility without factoring.  Otherwise the count
+    is built one prime at a time: over F_{Q^l}, G splits into gcd(c, l)
+    factors of c / gcd(c, l) components each, all of multiplicity one as
+    the extension is separable.  For the primes l of e in ascending order,
+    G is factored over F_{Q^l}; a split proves l | c, and the count is l
+    times that of one factor over F_{Q^l}, whose own bound divides e / l.
+    When no prime of e splits G, c = 1.  No field beyond F_{Q^e} is built.
     """
+    return _component_count_below(G, 0, None, config)
+
+
+def _component_count_below(G, bound, base_order, config):
+    """``absolute_component_count`` of G, given that its count divides
+    ``bound`` (0 gives no information) and, unless ``base_order`` is None,
+    that G is a factor of an F_q-irreducible polynomial over the subfield
+    with ``base_order`` elements."""
     if G.total_degree <= 1:
         return 1
-    e = gcd(G.deg_x, G.deg_y)
+    e = gcd(bound, G.deg_x, G.deg_y)
     # with a zero y-derivative no line gives a squarefree G(x0, y) of
     # positive degree
     if e > 1 and not G.derivative_y().is_zero():
-        for _, u in itertools.islice(_good_lines(G), _BOUND_LINES):
+        lines = _good_lines(G)
+        if base_order is not None:
+            # a line over the subfield bounds G by the base polynomial's
+            # bound on it over l; only lines outside the subfield tell more
+            lines = ((x0, u) for x0, u in lines if x0 ** base_order != x0)
+        for _, u in itertools.islice(lines, _BOUND_LINES):
             e = gcd(e, *splitting_type(u))
             if e == 1:
                 break
-    if e == 1:
-        return 1
-    ext, emb = extension(G.field, e)
-    Ge = G.map_coefficients(emb, ext)
-    cert = factor_bivariate(Ge, config)
-    return sum(m for _, m in cert.factors)
+    for ell in prime_factors(e):
+        ext, emb = extension(G.field, ell)
+        factors = factor_bivariate(G.map_coefficients(emb, ext), config).factors
+        if len(factors) > 1:
+            return ell * _component_count_below(
+                factors[0][0], e // ell, G.field.order, config)
+    return 1
 
 
 def geometric_components(F, config=DEFAULT_CONFIG):

@@ -8,6 +8,7 @@ import pytest
 from exccover.errors import ParseError, UnknownSymbol
 from exccover.gf import make_field
 from exccover.polyfactor import UPoly
+from exccover import cli
 from exccover.cli import (
     bpoly_to_str,
     main,
@@ -197,6 +198,58 @@ def test_json_bytes_pinned(argv, digest, tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, ["--json"] + argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_parser_is_built_once_and_survives_an_error_exit(capsys):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli._parser()
+    # a required option missing in the subcommand, then an unknown one
+    for bad in (["analyze", "--p", "7"], ["--json", "examples", "--bogus"]):
+        code, out, err = run(capsys, bad)
+        assert code == 1 and out == "" and err.startswith("error: ")
+    argv, digest = PINNED_JSON[0].values
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+OVER_CAP = "q^m = 9393931 exceeds the enumeration cap 4194304"
+
+
+def test_analyze_reports_over_cap_degrees(capsys):
+    argv = ["analyze", "--p", "211", "--num", "x^3", "--den", "1",
+            "--m", "1,3", "--census-m", "3,1"]
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert [a["m"] for a in res["audits"]] == [1]
+    assert [c["m"] for c in res["censuses"]] == [1]
+    assert res["skipped_degrees"] == [
+        {"stage": "audit", "m": 3, "reason": OVER_CAP},
+        {"stage": "census", "m": 3, "reason": OVER_CAP}]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert f"audit m=3: skipped ({OVER_CAP})" in out
+    assert f"census m=3: skipped ({OVER_CAP})" in out
+    # nothing dropped, no key
+    code, out, _ = run(capsys, ["--json"] + argv[:-4] + ["--m", "1"])
+    assert "skipped_degrees" not in json.loads(out)["results"]
+
+
+def test_superelliptic_reports_over_cap_degrees(capsys):
+    argv = ["--cap", "1000", "superelliptic", "--q", "13", "--n", "3",
+            "--a", "8", "--gamma", "1", "--m", "3,1,2"]
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert [a["m"] for a in res["audits"]] == [1, 2]
+    assert res["skipped_degrees"] == [{
+        "stage": "audit", "m": 3,
+        "reason": "q^m = 2197 exceeds the enumeration cap 1000"}]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert ("audit m=3: skipped (q^m = 2197 exceeds the enumeration cap 1000)"
+            in out)
 
 
 def test_analyze_rejects_degree_one(capsys):

@@ -20,7 +20,7 @@ from exccover.excep import (
     quintic_pair_map,
     quintic_twist_map,
 )
-from exccover.gf import extension, make_field, power
+from exccover.gf import extension, is_prime, make_field, power
 from exccover.polyfactor import (
     BPoly,
     UPoly,
@@ -613,12 +613,13 @@ def test_absolute_component_count_matches_extension_oracle():
 
 @pytest.fixture
 def extension_degrees(monkeypatch):
-    """The degrees ``polyfactor`` asks ``extension`` for, in call order."""
+    """(degree of the base field over F_p, extension degree) for each
+    extension ``polyfactor`` asks for, in call order."""
     asked = []
     build = polyfactor.extension
 
     def recording(field, e):
-        asked.append(e)
+        asked.append((field.k, e))
         return build(field, e)
 
     monkeypatch.setattr(polyfactor, "extension", recording)
@@ -635,10 +636,13 @@ def test_component_count_extension_degrees(extension_degrees):
     pair = _single_phi_factor(quintic_pair_map(make_field(17), 10, 3))
     assert twist.total_degree == pair.total_degree == 8
     assert absolute_component_count(twist) == 2
-    assert extension_degrees and max(extension_degrees) < 8
+    # the two components are told apart over F_{13^2}; lines over F_169
+    # outside F_13 show each is absolutely irreducible, so F_{13^4} is
+    # never built
+    assert extension_degrees == [(1, 2)]
     extension_degrees.clear()
     assert absolute_component_count(pair) == 1
-    assert extension_degrees and max(extension_degrees) <= 2
+    assert extension_degrees == [(1, 2)]
     extension_degrees.clear()
     # y^3 - gamma x^2: coprime bidegree, settled without an extension
     F7 = make_field(7)
@@ -647,6 +651,41 @@ def test_component_count_extension_degrees(extension_degrees):
                    UPoly.zero(F7), UPoly.one(F7)])
     assert absolute_component_count(G) == 1
     assert extension_degrees == []
+
+
+@pytest.mark.parametrize("p, n", [(13, 5), (3, 7), (2, 9), (5, 13)])
+def test_component_count_tower_on_composite_bounds(p, n, extension_degrees):
+    # the factors of x^n - y^n over x - y are the cyclotomic orbits, with
+    # c = 4, 6, {2, 6} and 4 components; gcd(deg_x, deg_y) = c
+    composite = 0
+    phi = fiber_product_poly(monomial_map(make_field(p), n))
+    for G, _ in factor_bivariate(phi).factors:
+        e = gcd(G.deg_x, G.deg_y)
+        extension_degrees.clear()
+        c = absolute_component_count(G)
+        asked = list(extension_degrees)
+        assert c == _component_count_oracle(G), G
+        assert all(is_prime(ell) for _, ell in asked), asked
+        # over the prime field, each field built has a degree dividing e:
+        # it lies on one path of prime steps inside F_{p^e}
+        assert all(e % (k * ell) == 0 for k, ell in asked), asked
+        composite += not is_prime(e)
+    assert composite
+
+
+@pytest.mark.parametrize("q_spec, build, c", [
+    ((5, 1), lambda F: _single_phi_factor(monomial_map(F, 3)), 2),
+    ((3, 1), lambda F: _norm_of_line(F, 3), 3),
+    ((2, 2), lambda F: _norm_of_line(F, 2), 2),
+])
+def test_component_count_prime_bound_asks_once(q_spec, build, c,
+                                                extension_degrees):
+    F = make_field(*q_spec)
+    G = build(F)
+    assert gcd(G.deg_x, G.deg_y) == c
+    extension_degrees.clear()
+    assert absolute_component_count(G) == c
+    assert extension_degrees == [(F.k, c)]
 
 
 def _has_good_line(G):
@@ -699,7 +738,7 @@ def test_hensel_extension_search_is_bounded(monkeypatch, extension_degrees):
                              for row in [[1, 0, 1], [0, 1]]])  # y^2 + xy + 1
     with pytest.raises(ValueError, match="e <= 2"):
         polyfactor._factor_at_extension_line(W, Config())
-    assert extension_degrees == [2]
+    assert extension_degrees == [(1, 2)]
 
 
 def test_good_line_factors_without_gcd_chain(monkeypatch):
