@@ -384,6 +384,9 @@ def _skipped_text(skipped):
 
 
 def _field_from_q(q, config):
+    # the cap comes first: factoring an oversized q by trial division hangs
+    if q > config.field_cap:
+        raise CapExceeded(f"{q} exceeds the field cap {config.field_cap}")
     p, k = prime_power_decomposition(q)
     return make_field(p, k, config)
 
@@ -588,7 +591,7 @@ def cmd_superelliptic(args, config):
     if skipped:
         results["skipped_degrees"] = skipped
     lines = [
-        f"cover: y^{cover.n} = {_coeff_text(cover.gamma)}*h(x) over {field!r}, "
+        f"cover: y^{cover.n} = {_coeff_str(cover.gamma)}*h(x) over {field!r}, "
         f"deg h = {cover.h.degree}",
         f"genus: {cover.genus} (family formula value {formula_genus})",
         f"totally ramified over infinity: "
@@ -600,12 +603,6 @@ def cmd_superelliptic(args, config):
             f"surjective={audit.surjective} bijective={audit.bijective}")
     lines += _skipped_text(skipped)
     return results, lines
-
-
-def _coeff_text(c):
-    if c.in_prime_subfield():
-        return str(c.code)
-    return f"[{','.join(str(v) for v in c.coeffs)}]"
 
 
 def cmd_groups(args, config):

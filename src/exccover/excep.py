@@ -25,6 +25,7 @@ from .gf import Fel
 from .polyfactor import (
     BPoly,
     UPoly,
+    _ComponentFields,
     absolute_component_count,
     factor_bivariate,
 )
@@ -60,7 +61,7 @@ def fiber_product_poly(f):
 
 
 @dataclass(frozen=True)
-class FactorClassification:
+class FactorClassification(_ComponentFields):
     """One arithmetic factor of the fiber-product polynomial.
 
     ``points`` holds the factor's rational points, ``factor_points`` on
@@ -71,8 +72,6 @@ class FactorClassification:
     poly: BPoly
     multiplicity: int
     components: int
-    absolutely_irreducible: bool
-    field_of_definition_degree: int
     points: tuple = None
 
     @property
@@ -126,13 +125,10 @@ def decide_exceptional(f, config=DEFAULT_CONFIG):
         pairs = [(P, fibers[t]) for P, t in enumerate(images)]
     rows = []
     for G, mult in cert.factors:
-        c = absolute_component_count(G, config)
         rows.append(FactorClassification(
             poly=G,
             multiplicity=mult,
-            components=c,
-            absolutely_irreducible=(c == 1),
-            field_of_definition_degree=c,
+            components=absolute_component_count(G, config),
             points=tuple(factor_points(G, pairs)) if scan else None,
         ))
     exceptional = all(not row.absolutely_irreducible for row in rows)

@@ -188,12 +188,13 @@ class Field:
 
 def make_field(p, k=1, config=DEFAULT_CONFIG):
     """F_{p^k} with the deterministic lexicographically smallest modulus."""
-    if not is_prime(p):
-        raise NonPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
+    # the cap comes first: trial division of an oversized p hangs
     if p**k > config.field_cap:
         raise CapExceeded(f"{p}^{k} exceeds the field cap {config.field_cap}")
+    if not is_prime(p):
+        raise NonPrime(f"{p} is not prime")
     return _field(p, k)
 
 

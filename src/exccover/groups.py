@@ -306,15 +306,19 @@ def quotient_is_cyclic(A, G):
     return any(coset_order(A, G, a) == index for a in A.elements)
 
 
+def _common_orbits(A, G, action):
+    """The A-orbits, in A's order, that are single G-orbits."""
+    g_orbits = set(G.orbits(action))
+    return [orb for orb in A.orbits(action) if orb in g_orbits]
+
+
 def fixed_point_identity(spec, action="points"):
     """(lhs, rhs): the number of ambient orbits that are single
     normal-subgroup orbits, and the average fixed-point count over the
     generating coset.  The two agree exactly; rhs is an exact rational.
     """
     A, G = spec.ambient, spec.normal
-    a_orbits = A.orbits(action)
-    g_orbits = set(G.orbits(action))
-    lhs = sum(1 for orb in a_orbits if orb in g_orbits)
+    lhs = len(_common_orbits(A, G, action))
     total = sum(_fixed_count(alpha, action) for alpha in spec.coset())
     rhs = Fraction(total, G.order)
     return lhs, rhs
@@ -347,10 +351,7 @@ def exceptionality_conditions(spec):
     if not G.is_transitive():
         raise NotTransitive("the normal subgroup must be transitive on points")
     diagonal = frozenset((s, s) for s in range(A.deg))
-    a_orbits = A.orbits("ordered_pairs")
-    g_orbits = set(G.orbits("ordered_pairs"))
-    common = [orb for orb in a_orbits if orb in g_orbits]
-    cond1 = common == [diagonal] or (len(common) == 1 and common[0] == diagonal)
+    cond1 = _common_orbits(A, G, "ordered_pairs") == [diagonal]
     fixes = [len(x.fixed_points()) for x in spec.qualifying_reps()]
     cond2 = all(c == 1 for c in fixes)
     cond3 = all(c <= 1 for c in fixes)
@@ -366,9 +367,7 @@ def common_orbit_count(D, I, deg=None):
         raise ValueError("degree mismatch")
     if not I <= D:
         raise NotSubgroup("I must be a subgroup of D")
-    d_orbits = D.orbits("points")
-    i_orbits = set(I.orbits("points"))
-    return sum(1 for orb in d_orbits if orb in i_orbits)
+    return len(_common_orbits(D, I, "points"))
 
 
 def cycle_type_histogram(spec):

@@ -8,8 +8,12 @@ polynomial in y whose coefficients are UPolys in x.
 
 The univariate factorizer is the classical squarefree / distinct-degree /
 equal-degree pipeline with a configuration-fixed seed for the randomized
-splits.  The bivariate factorizer splits off the content in x and sends
-the primitive part P down the first of four branches that applies (see
+splits.  The distinct-degree split is the one walk of Frobenius powers
+x^(Q^d) mod f and yields its parts lazily: the irreducibility test
+(Ben-Or) and root finding read only its first part.
+
+The bivariate factorizer splits off the content in x and sends the
+primitive part P down the first of four branches that applies (see
 ``_distinct_bivariate_factors``): a good line x = x0, one that keeps
 deg_y and leaves P(x0, y) squarefree, whose specialization is factored,
 Hensel-lifted to twice the x-degree bound and recombined by exhaustive
@@ -415,37 +419,33 @@ def squarefree_decomposition(f):
 
 
 def distinct_degree_split(f):
-    """[(d, product of the irreducible factors of degree d)] for monic
-    squarefree f, ascending in d."""
-    fld = f.field
-    out = []
-    x = UPoly.x(fld)
+    """Yield (d, product of the irreducible factors of degree d) for monic
+    squarefree f, ascending in d (von zur Gathen-Gerhard, ch. 14).  Each
+    part is yielded before it is divided out, so a caller that stops early
+    does no more work; the first part is exact for any monic f."""
+    x = UPoly.x(f.field)
     h = x
     rem = f
     d = 0
     while rem.degree > 0:
         d += 1
         if 2 * d > rem.degree:
-            out.append((rem.degree, rem))
-            break
-        h = pow_mod(h, fld.order, rem)
+            yield rem.degree, rem
+            return
+        h = pow_mod(h, f.field.order, rem)
         g = upoly_gcd(h - x, rem)
         if g.degree > 0:
-            out.append((d, g))
+            yield d, g
             rem = rem // g
             h = h % rem
-    return out
 
 
 def splitting_type(f):
     """Sorted multiset of irreducible-factor degrees of squarefree monic f.
 
     Uses distinct-degree splitting only, so no randomized steps run."""
-    f = f.monic()
-    degs = []
-    for d, prod in distinct_degree_split(f):
-        degs.extend([d] * (prod.degree // d))
-    return tuple(sorted(degs))
+    return tuple(d for d, prod in distinct_degree_split(f.monic())
+                 for _ in range(prod.degree // d))
 
 
 def _equal_degree_split(f, d, rng):
@@ -530,15 +530,13 @@ def roots(f, config=DEFAULT_CONFIG):
     """Distinct roots of f in its own field, sorted in enumeration order."""
     if f.is_zero():
         raise DivisionByZero("roots of the zero polynomial")
-    fld = f.field
-    x = UPoly.x(fld)
-    # x^Q - x is squarefree, so this is the product of the distinct roots
-    linear_part = upoly_gcd(pow_mod(x, fld.order, f) - x, f)
-    rng = random.Random(config.seed)
-    out = []
-    if linear_part.degree > 0:
-        for irr in _equal_degree_split(linear_part, 1, rng):
-            out.append(-irr.coefficient(0))
+    # when its d is 1, the first part is gcd(x^Q - x, f), the product of
+    # the distinct roots
+    d, linear_part = next(distinct_degree_split(f.monic()), (0, None))
+    if d != 1:
+        return []
+    out = [-irr.coefficient(0) for irr in
+           _equal_degree_split(linear_part, 1, random.Random(config.seed))]
     out.sort(key=lambda r: r.to_int())
     return out
 
@@ -546,18 +544,10 @@ def roots(f, config=DEFAULT_CONFIG):
 def is_irreducible(f):
     """Deterministic irreducibility test for a UPoly of degree >= 1
     (Ben-Or): f of degree n is irreducible exactly when
-    gcd(x^(Q^i) - x, f) = 1 for every i <= n/2."""
+    gcd(x^(Q^i) - x, f) = 1 for every i <= n/2, which is when the first
+    distinct-degree part of f is f itself."""
     n = f.degree
-    if n < 1:
-        return False
-    f = f.monic()
-    x = UPoly.x(f.field)
-    h = x
-    for _ in range(n // 2):
-        h = pow_mod(h, f.field.order, f)
-        if upoly_gcd(h - x, f).degree > 0:
-            return False
-    return True
+    return n >= 1 and next(distinct_degree_split(f.monic()))[0] == n
 
 
 # ---------------------------------------------------------------------------
@@ -797,10 +787,13 @@ def _frobenius_bpoly(F, power):
     return F.map_coefficients(lambda c: c ** power, F.field)
 
 
-def _good_lines(W):
+def _good_lines(W, subfield_order=None):
     """(x0, W(x0, y)) for each line x = x0 over W's field, in enumeration
-    order, that keeps deg_y and leaves W(x0, y) squarefree."""
+    order, that keeps deg_y and leaves W(x0, y) squarefree; unless
+    ``subfield_order`` is None, only the x0 outside that subfield."""
     for x0 in W.field.elements():
+        if subfield_order is not None and x0 ** subfield_order == x0:
+            continue
         u = W.substitute_x(x0)
         if u.degree == W.deg_y and upoly_gcd(u, u.derivative()).degree == 0:
             yield x0, u
@@ -819,7 +812,8 @@ def _factor_at_extension_line(W, config):
     for e in range(2, last + 1):
         ext, emb = extension(fld, e)
         We = W.map_coefficients(emb, ext)
-        line = next(_good_lines(We), None)
+        # branch 3 runs only when no line over the base field is good
+        line = next(_good_lines(We, fld.order), None)
         if line is not None:
             ext_factors = _hensel_at_line(We, line[0], config)
             return _merge_frobenius_orbits(ext_factors, fld, emb)
@@ -1007,14 +1001,25 @@ def factor_bivariate(F, config=DEFAULT_CONFIG):
 # Geometric (absolute) irreducibility.
 
 
+class _ComponentFields:
+    """Report fields read off ``components``, the number c of absolutely
+    irreducible components: c is the degree of their field of definition."""
+
+    @property
+    def absolutely_irreducible(self):
+        return self.components == 1
+
+    @property
+    def field_of_definition_degree(self):
+        return self.components
+
+
 @dataclass(frozen=True)
-class GeometricFactor:
+class GeometricFactor(_ComponentFields):
     """Classification of one F_q-irreducible factor of a plane curve."""
 
     factor: BPoly
     components: int
-    absolutely_irreducible: bool
-    field_of_definition_degree: int
 
 
 # Good F_q-lines scanned to bound a factor's component count before it
@@ -1056,12 +1061,9 @@ def _component_count_below(G, bound, base_order, config):
     # with a zero y-derivative no line gives a squarefree G(x0, y) of
     # positive degree
     if e > 1 and not G.derivative_y().is_zero():
-        lines = _good_lines(G)
-        if base_order is not None:
-            # a line over the subfield bounds G by the base polynomial's
-            # bound on it over l; only lines outside the subfield tell more
-            lines = ((x0, u) for x0, u in lines if x0 ** base_order != x0)
-        for _, u in itertools.islice(lines, _BOUND_LINES):
+        # a line over the subfield bounds G by the base polynomial's bound
+        # on it over l; only lines outside the subfield tell more
+        for _, u in itertools.islice(_good_lines(G, base_order), _BOUND_LINES):
             e = gcd(e, *splitting_type(u))
             if e == 1:
                 break
@@ -1087,6 +1089,5 @@ def geometric_components(F, config=DEFAULT_CONFIG):
         raise NotSquarefree("input has a repeated factor")
     out = []
     for G, _ in cert.factors:
-        c = absolute_component_count(G, config)
-        out.append(GeometricFactor(G, c, c == 1, c))
+        out.append(GeometricFactor(G, absolute_component_count(G, config)))
     return tuple(out)

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -278,6 +282,35 @@ def test_analyze_cap_exit_code(capsys):
                                 "--num", "x^5-10*x", "--den", "x^4-3",
                                 "--m", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "analyze", "--p", "1000000000000000003", "--num", "x^2",
+     "--den", "1"],
+    ["superelliptic", "--q", "1000000000000000003", "--n", "2", "--a", "1",
+     "--gamma", "1"],
+    # a composite above the field cap is refused by the cap, not as composite
+    ["analyze", "--p", "4294967296", "--num", "x^2", "--den", "1"],
+])
+def test_oversized_field_exits_2_before_factoring(argv):
+    # in a subprocess with a timeout, so that trial division of the order
+    # fails the test instead of hanging the suite
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "exccover.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "exceeds the field cap" in proc.stderr
+
+
+def test_superelliptic_text_prints_gamma_in_the_grammar(capsys):
+    code, out, _ = run(capsys, ["superelliptic", "--q", "9", "--n", "2",
+                                "--a", "1", "--gamma", "g^3", "--m", "1"])
+    assert code == 0
+    gamma = re.match(r"cover: y\^2 = (\S+)\*h\(x\)", out).group(1)
+    assert gamma == "g^3"
+    F9 = make_field(3, 2)
+    assert parse_poly(gamma, F9) == parse_poly("g^3", F9)
 
 
 def test_analyze_checks_validators_above_the_old_point_pair_cap(capsys):

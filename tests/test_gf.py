@@ -70,11 +70,16 @@ def test_make_field_degree_three_over_two():
 def test_make_field_rejects_composite_characteristic():
     with pytest.raises(NonPrime):
         make_field(4, 1)
+    with pytest.raises(NonPrime):
+        make_field(9)
 
 
 def test_make_field_cap():
     with pytest.raises(CapExceeded):
         make_field(2, 40)
+    # the cap is checked before primality, so a composite above it too
+    with pytest.raises(CapExceeded):
+        make_field(2**32)
     make_field(2, 40, Config(field_cap=2**41))
 
 

@@ -218,6 +218,77 @@ def test_splitting_type_matches_full_factorization():
             assert splitting_type(f) == tuple(degs)
 
 
+# Every nonzero polynomial of degree <= d over F_{p^k}, non-monic and
+# non-squarefree ones included: (p, k, d).
+_UNIVARIATE_SWEEP = ((2, 1, 6), (3, 1, 5), (5, 1, 3), (2, 2, 3), (3, 2, 2))
+
+
+def _all_upolys(F, d):
+    for cs in itertools.product(range(F.order), repeat=d + 1):
+        if any(cs):
+            yield UPoly(F, [F.from_int(c) for c in cs])
+
+
+def _has_proper_factor(f):
+    # a reducible f has a monic factor of degree at most deg f / 2
+    F = f.field
+    for m in range(1, f.degree // 2 + 1):
+        for cs in itertools.product(range(F.order), repeat=m):
+            if (f % UPoly(F, [F.from_int(c) for c in cs] + [1])).is_zero():
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p, k, d", _UNIVARIATE_SWEEP)
+def test_is_irreducible_and_roots_match_trial_division(p, k, d):
+    F = make_field(p, k)
+    for f in _all_upolys(F, d):
+        expect = f.degree >= 1 and not _has_proper_factor(f)
+        assert is_irreducible(f) == expect, f
+        zeros = [x.to_int() for x in F.elements() if f.evaluate(x).is_zero()]
+        assert [r.to_int() for r in roots(f)] == zeros, f
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("p, k, d", [s for s in _UNIVARIATE_SWEEP if s[1] == 1])
+def test_is_irreducible_and_roots_match_sympy(p, k, d):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    F = make_field(p)
+    for f in _all_upolys(F, d):
+        if f.degree < 1:
+            continue
+        P = sympy.Poly([c.to_int() for c in reversed(f.coeffs)], x, modulus=p)
+        assert is_irreducible(f) == P.is_irreducible, f
+        # the root of a linear factor a x + b is -b / a
+        theirs = sorted((-int(b) * pow(int(a), -1, p)) % p
+                        for g, _ in P.factor_list()[1] if g.degree() == 1
+                        for a, b in [g.all_coeffs()])
+        assert [r.to_int() for r in roots(f)] == theirs, f
+
+
+def test_is_irreducible_stops_at_the_first_part(monkeypatch):
+    # Ben-Or's early exit: a root shows at d = 1, after one Frobenius step;
+    # an irreducible quintic takes the steps d = 1 and 2 before the walk
+    # ends at d = 3 > 5 / 2
+    calls = []
+    real = polyfactor.pow_mod
+
+    def counting(base, e, mod):
+        calls.append(mod.degree)
+        return real(base, e, mod)
+
+    monkeypatch.setattr(polyfactor, "pow_mod", counting)
+    F5 = make_field(5)
+    x = UPoly.x(F5)
+    quintic = x**5 - x - 1  # Artin-Schreier, irreducible over F_5
+    assert is_irreducible(quintic)
+    assert calls == [5, 5]
+    calls.clear()
+    assert not is_irreducible((x - 2) * quintic)
+    assert calls == [6]
+
+
 # ---------------------------------------------------------------------------
 # Bivariate.
 
@@ -732,7 +803,8 @@ def test_component_count_degenerate_factors(q_spec, rows, c):
 def test_hensel_extension_search_is_bounded(monkeypatch, extension_degrees):
     # With no good line anywhere the search stops at the first F_{2^e}
     # with more than (2 deg_y - 1) deg_x = 3 elements, instead of looping.
-    monkeypatch.setattr(polyfactor, "_good_lines", lambda W: iter(()))
+    monkeypatch.setattr(polyfactor, "_good_lines",
+                        lambda W, subfield_order=None: iter(()))
     F2 = make_field(2)
     W = BPoly.from_grid(F2, [[F2.element(v) for v in row]
                              for row in [[1, 0, 1], [0, 1]]])  # y^2 + xy + 1
