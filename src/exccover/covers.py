@@ -14,6 +14,7 @@ from .errors import CapExceeded, MixedFields, NotSeparable, WildCase
 from .gf import Fel, embedding, extension, nth_power_solution_count
 from .polyfactor import (
     UPoly,
+    _resultant,
     factor_univariate,
     splitting_type,
     upoly_ext_gcd,
@@ -313,22 +314,42 @@ def splitting_census(f, m, config=DEFAULT_CONFIG):
     irreducible factors of p - t r; over a non-branch infinity it is the
     factor degrees of r plus the degree-(deg p - deg r) place above.
     Branch points are excluded and reported separately.
-    Off the branch locus, p - t r is squarefree of degree n with the a_1
-    points of the fiber as roots, and a rootless squarefree rest of
-    degree 2 or 3 is irreducible, so only n - a_1 >= 4 is factored.
+    Off the branch locus, p - t r is monic and squarefree of degree n with
+    the a_1 points of the fiber as roots, and a rootless squarefree rest
+    of degree 2 or 3 is irreducible.  A rootless rest of degree 4 is (4)
+    or (2, 2), and one of degree 5 is (5) or (2, 3); the sign of Frobenius
+    on the roots tells these apart, as a 4-cycle and a product of a
+    2-cycle and a 3-cycle are odd.  Over a field of odd order that sign
+    is the quadratic character of disc(p - t r) (Stickelberger's theorem:
+    a squarefree f of degree n has r = n mod 2 irreducible factors exactly
+    when disc f is a square; Swan, Pacific J. Math. 12 (1962)).  So p - t r
+    is factored only when n - a_1 >= 6, or n - a_1 >= 4 in characteristic
+    2.
     """
     branch = ramified_rational_points(f, m, config)
     ext, emb = _extension_for(f.field, m, config)
     fe = f.over(emb)
     fiber = Counter(_images(fe))
     skip = {P.x.code for P in branch.points if not P.is_infinity}
+    n, half = fe.degree, (ext.order - 1) // 2
     hist = {}
     for t in range(ext.order):
         if t in skip:
             continue
-        rest = fe.degree - fiber[t]
-        st = (splitting_type(fe.num - fe.den * Fel(ext, t)) if rest >= 4
-              else (1,) * fiber[t] + ((rest,) if rest else ()))
+        rest = n - fiber[t]
+        st = (1,) * fiber[t] + ((rest,) if rest else ())
+        if rest >= 4:
+            phi = fe.num - fe.den * Fel(ext, t)
+            if rest > 5 or ext.p == 2:
+                st = splitting_type(phi)
+            else:
+                # disc phi = (-1)^(n(n-1)/2) Res(phi, phi') for monic phi
+                d = _resultant(ext, phi._c, phi.derivative()._c)
+                if n * (n - 1) // 2 % 2:
+                    d = ext.neg(d)
+                # a square d makes Frobenius even: (2, 2) or (5)
+                if (ext.pow(d, half) == 1) == (rest == 4):
+                    st = (1,) * fiber[t] + (2, rest - 2)
         hist[st] = hist.get(st, 0) + 1
     if INFINITY not in branch.points:
         degs = list(splitting_type(fe.den)) if fe.den.degree > 0 else []

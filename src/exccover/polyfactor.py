@@ -9,8 +9,8 @@ polynomial in y whose coefficients are UPolys in x.
 The univariate factorizer is the classical squarefree / distinct-degree /
 equal-degree pipeline with a configuration-fixed seed for the randomized
 splits.  The distinct-degree split is the one walk of Frobenius powers
-x^(Q^d) mod f and yields its parts lazily: the irreducibility test
-(Ben-Or) and root finding read only its first part.
+x^(Q^d) mod f and yields its parts lazily: root finding reads only its
+first part, and the irreducibility test (Ben-Or) its first nonempty one.
 
 The bivariate factorizer splits off the content in x and sends the
 primitive part P down the first of four branches that applies (see
@@ -375,6 +375,27 @@ def pow_mod(base, e, mod):
     return UPoly._of(F, power(b, e, [1], mulmod))
 
 
+def _resultant(F, a, b):
+    """Res(a, b) of the nonzero code lists a and b over F, as a code, by
+    Euclid on their actual degrees (von zur Gathen-Gerhard, ch. 6): with
+    r = a mod b, Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r)
+    Res(b, r), 0 when r = 0, and b_0^(deg a) when b is constant."""
+    R, mul = _code_ring(F), F.mul
+    acc = 1
+    while len(b) > 1:
+        inv = F.inv(b[-1])
+        r = _divrem(R, list(a), b, lambda c: mul(c, inv))[1]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return 0
+        acc = mul(acc, F.pow(b[-1], len(a) - len(r)))
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            acc = F.neg(acc)
+        a, b = b, r
+    return mul(acc, F.pow(b[0], len(a) - 1))
+
+
 # ---------------------------------------------------------------------------
 # Univariate factorization.
 
@@ -420,9 +441,11 @@ def squarefree_decomposition(f):
 
 def distinct_degree_split(f):
     """Yield (d, product of the irreducible factors of degree d) for monic
-    squarefree f, ascending in d (von zur Gathen-Gerhard, ch. 14).  Each
-    part is yielded before it is divided out, so a caller that stops early
-    does no more work; the first part is exact for any monic f."""
+    squarefree f, for each d the walk steps through, ascending (von zur
+    Gathen-Gerhard, ch. 14); the product is 1 when f has no factor of
+    degree d.  Each part is yielded before it is divided out, so a caller
+    that stops early does no more work; the first part is exact for any
+    monic f."""
     x = UPoly.x(f.field)
     h = x
     rem = f
@@ -434,8 +457,8 @@ def distinct_degree_split(f):
             return
         h = pow_mod(h, f.field.order, rem)
         g = upoly_gcd(h - x, rem)
+        yield d, g
         if g.degree > 0:
-            yield d, g
             rem = rem // g
             h = h % rem
 
@@ -520,8 +543,8 @@ def factor_univariate(f, config=DEFAULT_CONFIG):
     factors = []
     for g, mult in squarefree_decomposition(f):
         for d, prod in distinct_degree_split(g):
-            for irr in _equal_degree_split(prod, d, rng):
-                factors.append((irr, mult))
+            if prod.degree:
+                factors += [(irr, mult) for irr in _equal_degree_split(prod, d, rng)]
     factors.sort(key=lambda pair: (pair[0].degree, pair[0]._c))
     return FactorCertificate(f.field, unit, tuple(factors))
 
@@ -530,10 +553,9 @@ def roots(f, config=DEFAULT_CONFIG):
     """Distinct roots of f in its own field, sorted in enumeration order."""
     if f.is_zero():
         raise DivisionByZero("roots of the zero polynomial")
-    # when its d is 1, the first part is gcd(x^Q - x, f), the product of
-    # the distinct roots
-    d, linear_part = next(distinct_degree_split(f.monic()), (0, None))
-    if d != 1:
+    # the first part is gcd(x^Q - x, f), the product of the distinct roots
+    _, linear_part = next(distinct_degree_split(f.monic()), (1, f))
+    if linear_part.degree < 1:
         return []
     out = [-irr.coefficient(0) for irr in
            _equal_degree_split(linear_part, 1, random.Random(config.seed))]
@@ -545,9 +567,10 @@ def is_irreducible(f):
     """Deterministic irreducibility test for a UPoly of degree >= 1
     (Ben-Or): f of degree n is irreducible exactly when
     gcd(x^(Q^i) - x, f) = 1 for every i <= n/2, which is when the first
-    distinct-degree part of f is f itself."""
+    nonempty distinct-degree part of f is f itself."""
     n = f.degree
-    return n >= 1 and next(distinct_degree_split(f.monic()))[0] == n
+    return n >= 1 and next(d for d, part in distinct_degree_split(f.monic())
+                           if part.degree) == n
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +814,10 @@ def _good_lines(W, subfield_order=None):
     """(x0, W(x0, y)) for each line x = x0 over W's field, in enumeration
     order, that keeps deg_y and leaves W(x0, y) squarefree; unless
     ``subfield_order`` is None, only the x0 outside that subfield."""
-    for x0 in W.field.elements():
+    F = W.field
+    # codes 0 ... p - 1 are F_p, which lies in every subfield
+    for code in range(0 if subfield_order is None else F.p, F.order):
+        x0 = Fel(F, code)
         if subfield_order is not None and x0 ** subfield_order == x0:
             continue
         u = W.substitute_x(x0)

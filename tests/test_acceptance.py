@@ -327,3 +327,12 @@ def test_criterion_8_factorization_property_suite():
             for a, b in ((2, 3), (3, 2)):
                 geo = geometric_components(_coprime_exponent_curve(F, a, b))
                 assert len(geo) == 1 and geo[0].components == 1
+
+
+def test_census_at_large_q():
+    # q = 65537 = 2 mod 5, so x^5 permutes F_q; above each t != 0 lie one
+    # rational point and a rootless quartic, irreducible as F_q(zeta_5)
+    # has degree 4.  Every fiber takes the discriminant's square class.
+    with Timer(20.0, "census of x^5 over F_65537"):
+        census = splitting_census(monomial_map(make_field(65537), 5), 1)
+    assert census.histogram == {(1, 4): 65536}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,41 @@ def test_census_matches_factoring_every_fiber():
                 fallback_with_roots += sum(
                     c for t, c in hist.items() if 0 < t.count(1) <= n - 4)
     assert fallback_with_roots > 0
+
+
+def _random_map(rng, F, n):
+    """A separable map of degree n: a random monic numerator over a random
+    monic denominator of degree below n."""
+    def coeffs(d):
+        return [F.from_int(rng.randrange(F.order)) for _ in range(d)] + [1]
+
+    while True:
+        try:
+            f = RationalMap(UPoly(F, coeffs(n)), UPoly(F, coeffs(rng.randrange(n))))
+        except NotSeparable:
+            continue
+        if f.degree == n:
+            return f
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2), (2, 2), (2, 3)])
+def test_census_by_discriminant_matches_factoring(p, k):
+    # odd characteristic tells rootless rests of degree 4 and 5 apart by
+    # the discriminant's square class, characteristic 2 factors them; maps
+    # with poles, n up to 7 and p | n
+    rng = random.Random(1962 * p + k)
+    F = make_field(p, k)
+    rests = Counter()
+    for n in range(4, 8):
+        f = _random_map(rng, F, n)
+        for m in (1, 2):
+            census = splitting_census(f, m)
+            hist, branch = _census_by_factoring(f, m)
+            assert census.histogram == hist, (n, m)
+            assert census.branch_points == branch, (n, m)
+            for st, c in hist.items():
+                rests[tuple(d for d in st if d > 1)] += c
+    assert all(rests[r] for r in ((4,), (2, 2), (5,), (2, 3))), rests
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,93 @@ def test_is_irreducible_stops_at_the_first_part(monkeypatch):
     assert calls == [6]
 
 
+def test_roots_of_a_rootless_poly_stop_after_one_step(monkeypatch):
+    # gcd(x^13 - x, f) = 1 ends the search at d = 1, before the quadratic
+    # factor shows at d = 2
+    calls = []
+    real = polyfactor.pow_mod
+
+    def counting(base, e, mod):
+        calls.append(mod.degree)
+        return real(base, e, mod)
+
+    monkeypatch.setattr(polyfactor, "pow_mod", counting)
+    F13 = make_field(13)
+    x = UPoly.x(F13)
+    f = (x**2 - 2) * (x**5 + 8 * x + 1)  # both factors irreducible
+    assert not any(f.evaluate(t).is_zero() for t in F13.elements())
+    assert roots(f) == []
+    assert calls == [7]
+
+
+def _discriminant(F, cs):
+    """disc f = (-1)^(n(n-1)/2) Res(f, f') of the monic code list cs."""
+    n = len(cs) - 1
+    d = polyfactor._resultant(F, list(cs), list(UPoly._of(F, cs).derivative()._c))
+    return F.neg(d) if n * (n - 1) // 2 % 2 else d
+
+
+def _squarefree_by_factor_count(F, top):
+    """Code tuples of every monic squarefree f of degree 1 ... top over F,
+    each with its number of irreducible factors: the products of distinct
+    monic irreducibles, sieved as the monic polynomials that are no
+    product of two of lower degree."""
+    R = polyfactor._code_ring(F)
+    monic = {d: [cs + (1,) for cs in itertools.product(range(F.order), repeat=d)]
+             for d in range(1, top + 1)}
+    irreducible = []
+    for d in range(1, top + 1):
+        products = {tuple(polyfactor._conv(R, a, b)) for i in range(1, d // 2 + 1)
+                    for a in monic[i] for b in monic[d - i]}
+        irreducible += [g for g in monic[d] if g not in products]
+    out = []
+
+    def extend(start, f, r):
+        for i in range(start, len(irreducible)):
+            g = irreducible[i]
+            if len(f) + len(g) - 2 > top:
+                break  # irreducible is sorted by degree
+            fg = tuple(polyfactor._conv(R, f, g))
+            out.append((fg, r + 1))
+            extend(i + 1, fg, r + 1)
+
+    extend(0, (1,), 0)
+    return out
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_discriminant_square_class_is_factor_count_parity(p, k):
+    # Stickelberger: squarefree f of degree n has r = n mod 2 irreducible
+    # factors exactly when disc f is a square; p | n included, where f'
+    # drops in degree
+    F = make_field(p, k)
+    half = (F.order - 1) // 2
+    seen = set()
+    for cs, r in _squarefree_by_factor_count(F, 5):
+        n = len(cs) - 1
+        d = _discriminant(F, cs)
+        assert d != 0, cs
+        assert (F.pow(d, half) == 1) == ((n - r) % 2 == 0), cs
+        seen.add((n, r))
+    # a product of n linear factors needs n <= q
+    assert seen == {(n, r) for n in range(1, 6) for r in range(1, n + 1)
+                    if r < n or n <= F.order}
+
+
+@pytest.mark.parametrize("p, top", [(3, 5), (5, 5), (7, 4)])
+def test_discriminant_matches_sympy(p, top):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    F = make_field(p)
+    for n in range(1, top + 1):
+        for cs in itertools.product(range(p), repeat=n):
+            cs += (1,)
+            if n % p == 0 and not any(cs[i] for i in range(1, n) if i % p):
+                continue  # f' = 0, outside the helper's contract
+            P = sympy.Poly(list(reversed(cs)), x, modulus=p)
+            assert _discriminant(F, cs) == int(P.discriminant()) % p, cs
+
+
 # ---------------------------------------------------------------------------
 # Bivariate.
 
@@ -811,6 +898,24 @@ def test_hensel_extension_search_is_bounded(monkeypatch, extension_degrees):
     with pytest.raises(ValueError, match="e <= 2"):
         polyfactor._factor_at_extension_line(W, Config())
     assert extension_degrees == [(1, 2)]
+
+
+def test_good_lines_outside_a_subfield():
+    # the walk starts after the prime subfield's codes 0 ... p - 1 and
+    # skips the rest of the subfield by the power test, so it yields the
+    # lines of the whole walk that lie off the subfield, in order
+    rng = random.Random(5)
+    lines = 0
+    for (p, k), e in (((5, 1), 2), ((3, 2), 2), ((2, 2), 3)):
+        F = make_field(p, k)
+        ext, emb = extension(F, e)
+        for _ in range(3):
+            W = rand_bpoly(F, 2, 2, rng).map_coefficients(emb, ext)
+            expect = [(x0, u) for x0, u in polyfactor._good_lines(W)
+                      if x0 ** F.order != x0]
+            assert list(polyfactor._good_lines(W, F.order)) == expect
+            lines += len(expect)
+    assert lines > 0
 
 
 def test_good_line_factors_without_gcd_chain(monkeypatch):

@@ -1,17 +1,19 @@
 """Property tests for the arithmetic kernels: permutation products, field
-axioms, univariate division and bivariate factoring, on inputs drawn by
-hypothesis."""
+axioms, univariate division, bivariate factoring and the splitting census,
+on inputs drawn by hypothesis."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from exccover.errors import DivisionByZero
+from exccover.covers import RationalMap, splitting_census
+from exccover.errors import DivisionByZero, NotSeparable
 from exccover.gf import make_field
 from exccover.groups import Perm
 from exccover.polyfactor import BPoly, UPoly, factor_bivariate, upoly_gcd
+from test_covers import _census_by_factoring
 
 # Derandomized and without an example database, so every run draws the
 # same examples.
@@ -142,3 +144,29 @@ def test_factor_bivariate_multiplies_back(f):
     cert = factor_bivariate(f)
     assert cert.product() == f
     assert all(m >= 1 and g.total_degree >= 1 for g, m in cert.factors)
+
+
+@st.composite
+def census_cases(draw):
+    """A map of degree 4 ... 7, the degrees whose fibers can have a
+    rootless rest of degree 4 or 5, with poles, over odd and even fields,
+    p | n included, and a census degree m of 1 or 2."""
+    F = make_field(*draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2),
+                                          (2, 2), (2, 3)])))
+    n = draw(st.integers(4, 7))
+    codes = st.integers(0, F.order - 1)
+    num = [F.from_int(c) for c in draw(st.lists(codes, min_size=n, max_size=n))]
+    den = [F.from_int(c) for c in draw(st.lists(codes, max_size=n - 1))]
+    try:
+        f = RationalMap(UPoly(F, num + [1]), UPoly(F, den + [1]))
+    except NotSeparable:
+        assume(False)
+    return f, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(census_cases())
+def test_census_matches_factoring(case):
+    f, m = case
+    census = splitting_census(f, m)
+    assert (census.histogram, census.branch_points) == _census_by_factoring(f, m)
