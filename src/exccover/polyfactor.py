@@ -15,11 +15,11 @@ first part, and the irreducibility test (Ben-Or) its first nonempty one.
 The bivariate factorizer splits off the content in x and sends the
 primitive part P down the first of four branches that applies (see
 ``_distinct_bivariate_factors``): a good line x = x0, one that keeps
-deg_y and leaves P(x0, y) squarefree, whose specialization is factored,
-Hensel-lifted to twice the x-degree bound and recombined by exhaustive
-subset search with exact trial division; P_y = 0, through P = C(x, y^p);
-gcd(P, P_y) = 1, at a good line over an extension; otherwise through the
-separable part P / gcd(P, P_y).
+deg_y and leaves P(x0, y) squarefree, whose factors are Hensel-lifted
+linearly, one x-column at a time (von zur Gathen-Gerhard, 15.4), and
+recombined in subsets, rejected by x-degree (Lecerf, 2006) before trial
+division; P_y = 0, through P = C(x, y^p); gcd(P, P_y) = 1, at a good line
+over an extension; otherwise through the separable part P / gcd(P, P_y).
 
 The component count c of an F_q-irreducible factor divides gcd(deg_x,
 deg_y) and every factor degree of its restriction to a good line; when
@@ -736,12 +736,8 @@ def bgcd(F, G):
         return G.canonical()
     if G.is_zero():
         return F.canonical()
-    if F.deg_y == 0 and G.deg_y == 0:
-        return BPoly.from_x_poly(upoly_gcd(F.coeffs[0], G.coeffs[0])).canonical()
-    if F.deg_y == 0:
-        return BPoly.from_x_poly(upoly_gcd(F.coeffs[0], content_y(G))).canonical()
-    if G.deg_y == 0:
-        return BPoly.from_x_poly(upoly_gcd(G.coeffs[0], content_y(F))).canonical()
+    # with deg_y 0 a primitive part is a unit, whose pseudo-remainder ends
+    # the loop at once
     c = upoly_gcd(content_y(F), content_y(G))
     a, b = primitive_part_y(F), primitive_part_y(G)
     if a.deg_y < b.deg_y:
@@ -773,36 +769,51 @@ def _truncate_x(F, prec):
     return F._new([c.truncate(prec) for c in F._c])
 
 
+def _columns(F, polys, n):
+    """The UPolys sum_k polys[k]_t z^k for t < n: polys read crosswise."""
+    return [UPoly._of(F, [p._c[t] if len(p._c) > t else 0 for p in polys])
+            for t in range(n)]
+
+
 def _hensel_lift_factors(Wstar, u_factors, prec):
     """Lift monic coprime u_i over F_q to monic factors of the monic
-    series polynomial Wstar modulo x^prec."""
+    series polynomial Wstar modulo x^prec by linear lifting, one x-column
+    at a time (von zur Gathen-Gerhard, Modern Computer Algebra, 15.4).
+    The lifts L_i and products P_i = L_0 ... L_i are held as their x^k
+    columns, polynomials in y; with each L_i[j] still zero, P_i[j] =
+    sum_{0<k<j} P_{i-1}[k] L_i[j-k] + P_{i-1}[j] u_i, and the error e_j =
+    [x^j]Wstar - P_{r-1}[j] sets L_i[j] = lam_i e_j mod u_i.  A lift
+    takes O(r prec^2) products in y."""
     fld = Wstar.field
     r = len(u_factors)
     # Bezout data: lam_i * prod_{l != i} u_l = 1 mod u_i
     lams = []
-    for i in range(r):
+    for i, u in enumerate(u_factors):
         rest = UPoly.one(fld)
-        for l in range(r):
-            if l != i:
-                rest = (rest * u_factors[l]) % u_factors[i]
-        _, s, _ = upoly_ext_gcd(rest, u_factors[i])
-        lams.append(s % u_factors[i])
-    lifted = [BPoly.from_y_poly(u) for u in u_factors]
+        for v in u_factors[:i] + u_factors[i + 1:]:
+            rest = rest * v % u
+        lams.append(upoly_ext_gcd(rest, u)[1] % u)
+    zero = UPoly.zero(fld)
+    w = _columns(fld, Wstar._c, prec)
+    L = [[u] + [zero] * (prec - 1) for u in u_factors]
+    P = [L[0][:]]
+    for u in u_factors[1:]:
+        P.append([P[-1][0] * u] + [zero] * (prec - 1))
     for j in range(1, prec):
-        # the error at x^j needs the product of the lifts only mod x^(j+1)
-        prod = BPoly.one(fld)
-        for w in lifted:
-            prod = _truncate_x(prod * w, j + 1)
-        e_j = UPoly._of(fld, [c._c[j] if len(c._c) > j else 0
-                              for c in (Wstar - prod)._c])
-        if e_j.is_zero():
+        for i in range(1, r):
+            P[i][j] = sum((P[i - 1][k] * L[i][j - k] for k in range(1, j)),
+                          P[i - 1][j] * u_factors[i])
+        e_j = w[j] - P[-1][j]
+        if not e_j:
             continue
-        xj = UPoly._of(fld, [0] * j + [1])
-        for i in range(r):
-            delta = (lams[i] * e_j) % u_factors[i]
-            if not delta.is_zero():
-                lifted[i] = lifted[i] + BPoly.from_y_poly(delta) * xj
-    return lifted
+        # set column j of each L_i; d is what it adds to column j of P_i
+        d = P[0][j] = L[0][j] = lams[0] * e_j % u_factors[0]
+        for i in range(1, r):
+            L[i][j] = lams[i] * e_j % u_factors[i]
+            d = d * u_factors[i] + P[i - 1][0] * L[i][j]
+            P[i][j] += d
+    return [BPoly._of(fld, _columns(fld, cols, u.degree + 1))
+            for cols, u in zip(L, u_factors)]
 
 
 def _frobenius_bpoly(F, power):
@@ -882,9 +893,13 @@ def _sort_key_bpoly(F):
 
 def _hensel_at_line(W, x0, config):
     """Factor W (primitive, squarefree, y-separable) along the line x = x0,
-    which must preserve y-degree and squarefreeness."""
+    which must preserve y-degree and squarefreeness.  Subsets of the lifts
+    L_i mod x^prec, prec = 2 deg_x + 1, are recombined smallest first
+    against the unfactored part R.  For a true factor g of R, H = lc_y(R)
+    prod L_i mod x^prec is lc_y(R / g) g, of x-degree at most deg_x R
+    (Lecerf, Math. Comp. 75 (2006)): a larger one is rejected before the
+    content of H is removed and R is trial-divided."""
     fld = W.field
-    n = W.deg_y
     dx = max(W.deg_x, 0)
     prec = 2 * dx + 1
     Ws = W.shift_x(x0)
@@ -898,34 +913,34 @@ def _hensel_at_line(W, x0, config):
     active = list(range(len(u_factors)))
     remaining = Ws
     found = []
-    progress = True
-    while progress and len(active) > 1:
-        progress = False
-        for size in range(1, len(active)):
-            for subset in itertools.combinations(active, size):
-                H = BPoly.from_x_poly(remaining.coeffs[-1].truncate(prec))
-                for i in subset:
-                    H = _truncate_x(H * lifted[i], prec)
-                H = primitive_part_y(H).canonical()
-                # the candidate must specialize to exactly its subset
-                spec = H._at_x(0)
-                if spec.degree != H.deg_y:
-                    continue
-                expect = UPoly.one(fld)
-                for i in subset:
-                    expect = expect * u_factors[i]
-                if spec.monic() != expect:
-                    continue
-                quo = bpoly_div_exact(remaining, H)
-                if quo is None:
-                    continue
-                found.append(H.shift_x(-fld.element(x0)).canonical())
-                remaining = quo
-                active = [i for i in active if i not in subset]
-                progress = True
-                break
-            if progress:
-                break
+    while len(active) > 1:
+        for subset in itertools.chain.from_iterable(
+                itertools.combinations(active, size) for size in range(1, len(active))):
+            H = BPoly.from_x_poly(remaining.coeffs[-1].truncate(prec))
+            for i in subset:
+                H = _truncate_x(H * lifted[i], prec)
+            # a true factor's H is exact, of x-degree <= deg_x R
+            if H.deg_x > remaining.deg_x:
+                continue
+            H = primitive_part_y(H).canonical()
+            # the candidate must specialize to exactly its subset
+            spec = H._at_x(0)
+            if spec.degree != H.deg_y:
+                continue
+            expect = UPoly.one(fld)
+            for i in subset:
+                expect = expect * u_factors[i]
+            if spec.monic() != expect:
+                continue
+            quo = bpoly_div_exact(remaining, H)
+            if quo is None:
+                continue
+            found.append(H.shift_x(-fld.element(x0)).canonical())
+            remaining = quo
+            active = [i for i in active if i not in subset]
+            break
+        else:
+            break
     if remaining.deg_y > 0:
         found.append(primitive_part_y(remaining).shift_x(-fld.element(x0)).canonical())
     return found

@@ -296,13 +296,14 @@ def test_census_matches_factoring_every_fiber():
     # fiber types come from the fiber sizes where n - a_1 <= 3; degree 6
     # also reaches the factoring fallback for fibers with roots
     rng = random.Random(47)
-    fallback_with_roots = 0
+    fallback_with_roots = beyond_prime_field = 0
     for p, k in ((5, 1), (7, 1), (2, 2), (3, 2)):
         F = make_field(p, k)
         for n in range(2, 7):
             while True:
-                num = UPoly(F, [rng.randrange(F.order) for _ in range(n)] + [1])
-                den = UPoly(F, [rng.randrange(F.order)
+                num = UPoly(F, [F.from_int(rng.randrange(F.order))
+                                for _ in range(n)] + [1])
+                den = UPoly(F, [F.from_int(rng.randrange(F.order))
                                 for _ in range(rng.randrange(n))] + [1])
                 try:
                     f = RationalMap(num, den)
@@ -310,6 +311,8 @@ def test_census_matches_factoring_every_fiber():
                     continue
                 if f.degree == n:
                     break
+            beyond_prime_field += any(c.to_int() >= p
+                                      for c in num.coeffs + den.coeffs)
             for m in (1, 2):
                 census = splitting_census(f, m)
                 hist, branch = _census_by_factoring(f, m)
@@ -317,7 +320,7 @@ def test_census_matches_factoring_every_fiber():
                 assert census.branch_points == branch
                 fallback_with_roots += sum(
                     c for t, c in hist.items() if 0 < t.count(1) <= n - 4)
-    assert fallback_with_roots > 0
+    assert fallback_with_roots > 0 and beyond_prime_field >= 8
 
 
 def _random_map(rng, F, n):

@@ -455,6 +455,13 @@ def test_bivariate_gcd():
     assert bpoly_div_exact(b, g) is not None
     assert g.total_degree == 1
     assert bgcd(a, BPoly.zero(F5)) == a.canonical()
+    # an operand free of y: the gcd is the monic gcd of the contents in x
+    u = UPoly.x(F5)
+    cx = BPoly.from_x_poly(2 * (u + 1) * (u + 2))
+    assert bgcd(cx, a * (x + 1)) == BPoly.from_x_poly(u + 1)
+    assert bgcd(a * (x + 2) * (x + 3), cx) == BPoly.from_x_poly(u + 2)
+    assert bgcd(cx, BPoly.from_x_poly(3 * u * (u + 2))) == x + 2
+    assert bgcd(cx, a) == BPoly.one(F5)
 
 
 def test_content_and_exact_division():
@@ -1031,26 +1038,35 @@ def test_fallback_branches_match_a_construction():
     assert elapsed < 2.0
 
 
-def _lift_at_split_line(W):
-    """The Hensel data of ``_hensel_at_line`` at the first good line of W
-    where W(x0, y) has two or more factors: (Wstar, lifts, precision)."""
+def _lift_data(W, x0):
+    """(Wstar, u_i, prec) as ``_hensel_at_line`` builds them at x = x0."""
     prec = 2 * W.deg_x + 1
-    for x0, u in polyfactor._good_lines(W):
-        if len(factor_univariate(u).factors) < 2:
-            continue
-        Ws = W.shift_x(x0)
-        Wstar = polyfactor._truncate_x(
-            Ws * polyfactor._series_inverse(Ws.coeffs[-1], prec), prec)
-        us = [g for g, _ in factor_univariate(Wstar.substitute_x(0)).factors]
-        return Wstar, polyfactor._hensel_lift_factors(Wstar, us, prec), prec
-    raise AssertionError("no good line splits W")
+    Ws = W.shift_x(x0)
+    Wstar = polyfactor._truncate_x(
+        Ws * polyfactor._series_inverse(Ws.coeffs[-1], prec), prec)
+    us = [g for g, _ in factor_univariate(Wstar.substitute_x(0)).factors]
+    return Wstar, us, prec
+
+
+def _split_line(W):
+    """The first good line of W where W(x0, y) has two or more factors."""
+    return next(x0 for x0, u in polyfactor._good_lines(W)
+                if len(factor_univariate(u).factors) > 1)
+
+
+def _lift_at_split_line(W):
+    """The Hensel data of ``_hensel_at_line`` at ``_split_line(W)``:
+    (Wstar, lifts, precision)."""
+    Wstar, us, prec = _lift_data(W, _split_line(W))
+    return Wstar, polyfactor._hensel_lift_factors(Wstar, us, prec), prec
 
 
 def test_hensel_lifts_multiply_to_wstar():
-    # each lift step reads the error at x^j from the product of the lifts
-    # truncated to x^(j+1); the finished lifts must multiply to Wstar
-    # modulo x^prec.  The twist's Phi is irreducible on every F_13-line,
-    # so it is lifted where its component count is settled, over F_{13^2}.
+    # each lift step reads the error at x^j from column j of the running
+    # products of the lifts, folded over the factors; the finished lifts
+    # must multiply to Wstar modulo x^prec.  The twist's Phi is
+    # irreducible on every F_13-line, so it is lifted where its component
+    # count is settled, over F_{13^2}.
     phi = fiber_product_poly(quintic_twist_map(make_field(13)))
     ext, emb = extension(phi.field, 2)
     cases = [phi.map_coefficients(emb, ext)]
@@ -1068,6 +1084,106 @@ def test_hensel_lifts_multiply_to_wstar():
         for w in lifted:
             prod = polyfactor._truncate_x(prod * w, prec)
         assert prod == Wstar
+
+
+def _lift_by_products(Wstar, u_factors, prec):
+    """Reference Hensel lift: each step j rebuilds the product of the lifts
+    modulo x^(j+1) and reads the error at x^j from it."""
+    fld = Wstar.field
+    r = len(u_factors)
+    lams = []
+    for i in range(r):
+        rest = UPoly.one(fld)
+        for l in range(r):
+            if l != i:
+                rest = (rest * u_factors[l]) % u_factors[i]
+        _, s, _ = upoly_ext_gcd(rest, u_factors[i])
+        lams.append(s % u_factors[i])
+    lifted = [BPoly.from_y_poly(u) for u in u_factors]
+    for j in range(1, prec):
+        prod = BPoly.one(fld)
+        for w in lifted:
+            prod = polyfactor._truncate_x(prod * w, j + 1)
+        e_j = UPoly(fld, [c.coefficient(j) for c in (Wstar - prod).coeffs])
+        if e_j.is_zero():
+            continue
+        xj = UPoly.x(fld) ** j
+        for i in range(r):
+            delta = (lams[i] * e_j) % u_factors[i]
+            if not delta.is_zero():
+                lifted[i] = lifted[i] + BPoly.from_y_poly(delta) * xj
+    return lifted
+
+
+def test_hensel_lift_matches_product_rebuilding_oracle():
+    # products of 2 to 4 bivariate factors, kept when their first good line
+    # splits them into exactly 2, 3 or 4 factors, one case per count and
+    # field with the largest precision met among the first draws
+    rng = random.Random(17)
+    seen = []
+    for p, k in ((5, 1), (7, 1), (3, 2)):
+        F = make_field(p, k)
+        best = {}
+        for _ in range(40):
+            W = BPoly.one(F)
+            for _ in range(rng.randrange(2, 5)):
+                W = W * rand_bpoly(F, rng.randrange(1, 3), rng.randrange(1, 3),
+                                   rng)
+            line = next(polyfactor._good_lines(W), None)
+            if W.is_zero() or content_y(W).degree != 0 or line is None:
+                continue
+            data = _lift_data(W, line[0])
+            r = len(data[1])
+            if r in (2, 3, 4) and (r not in best or data[2] > best[r][2]):
+                best[r] = data
+        assert set(best) == {2, 3, 4}, (p, k, sorted(best))
+        seen += best.values()
+    phi = fiber_product_poly(quintic_twist_map(make_field(13)))
+    ext, emb = extension(phi.field, 2)
+    phi = phi.map_coefficients(emb, ext)
+    seen.append(_lift_data(phi, _split_line(phi)))
+    for Wstar, us, prec in seen:
+        assert (polyfactor._hensel_lift_factors(Wstar, us, prec)
+                == _lift_by_products(Wstar, us, prec))
+    assert max(prec for *_, prec in seen) >= 9
+
+
+def test_recombination_finds_factors_split_on_the_line():
+    # g = a(y) + x b(y) with gcd(a, b) = 1 is irreducible, being linear and
+    # primitive in x, yet g(x0, y) may split, so the true factor g is a
+    # subset of two or more lifts; with deg b >= deg a, lc_y(g) has
+    # x-degree 1, and the candidate H = lc_y(R / g) g of every true factor
+    # has the full x-degree of the unfactored part R
+    rng = random.Random(29)
+    split = 0
+    for p, k in ((5, 1), (7, 1), (3, 2)):
+        F = make_field(p, k)
+        kept = 0
+        while kept < 6:
+            gs = []
+            for _ in range(rng.randrange(2, 4)):
+                b = rand_upoly(F, 3, rng)
+                a = rand_upoly(F, max(b.degree, 0), rng)
+                if b.degree < 2 or a.degree > b.degree or upoly_gcd(a, b).degree:
+                    break
+                gs.append(BPoly.from_y_poly(a) + BPoly.from_y_poly(b)
+                          * BPoly.from_x_poly(UPoly.x(F)))
+            else:
+                P = BPoly.one(F)
+                for g in gs:
+                    P = P * g
+                line = next(polyfactor._good_lines(P), None)
+                expect = {g.canonical() for g in gs}
+                if line is None or len(expect) < len(gs):
+                    continue
+                kept += 1
+                split += any(
+                    len(factor_univariate(g.substitute_x(line[0])).factors) > 1
+                    for g in gs)
+                cert = factor_bivariate(P)
+                assert {g for g, _ in cert.factors} == expect, (p, k)
+                assert [m for _, m in cert.factors] == [1] * len(gs)
+    assert split >= 12
 
 
 def test_component_count_precondition_example():
