@@ -4,7 +4,7 @@ reports.
 
 Subcommands: analyze, superelliptic, groups, bounds, examples.  JSON
 output is key-sorted and contains no timings or floats, so identical
-arguments and seed produce byte-identical reports.
+arguments produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .gf import make_field
-from .polyfactor import UPoly
+from .polyfactor import SPLIT_SEED, UPoly
 from .covers import (
     BranchLocus,
     RationalMap,
@@ -321,8 +321,8 @@ def audit_json(audit):
         "surjective": audit.surjective,
         "bijective": audit.bijective,
         "fiber_size_histogram": {str(k): v for k, v in sorted(hist.items())},
-        "excluded_branch": (points_json(audit.excluded_branch)
-                            if audit.excluded_branch is not None else None),
+        # always null; the key stays so that reports keep their bytes
+        "excluded_branch": None,
     }
 
 
@@ -336,12 +336,12 @@ def census_json(census):
     }
 
 
-def report_json(command, inputs, results, seed):
+def report_json(command, inputs, results):
     return {
         "command": command,
         "inputs": inputs,
         "results": results,
-        "seed": seed,
+        "seed": SPLIT_SEED,
         "version": __version__,
     }
 
@@ -761,8 +761,6 @@ def build_parser():
     ap = _Parser(prog="exccover", description=__doc__)
     ap.add_argument("--json", action="store_true",
                     help="emit a key-sorted JSON report")
-    ap.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed,
-                    help="seed for randomized factorization splits")
     ap.add_argument("--cap", type=int, default=DEFAULT_CONFIG.enumeration_cap,
                     help="enumeration cap for exhaustive point sweeps")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -815,7 +813,7 @@ _DISPATCH = {
 
 
 def _inputs_echo(args):
-    skip = {"json", "seed", "cap", "command"}
+    skip = {"json", "cap", "command"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}
 
@@ -828,7 +826,7 @@ def main(argv=None):
     except ExcCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    config = Config(seed=args.seed, enumeration_cap=args.cap)
+    config = Config(enumeration_cap=args.cap)
     started = time.perf_counter()
     try:
         results, lines = _DISPATCH[args.command](args, config)
@@ -839,7 +837,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - started
-    report = report_json(args.command, _inputs_echo(args), results, args.seed)
+    report = report_json(args.command, _inputs_echo(args), results)
     if args.json:
         # timings stay out of the JSON so equal inputs give equal bytes
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))

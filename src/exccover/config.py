@@ -1,9 +1,9 @@
-"""Toolkit-wide configuration: caps and the factorization seed.
+"""Toolkit-wide configuration: the caps.
 
-Every operation that enumerates points, builds fields, or splits
-polynomials with randomized steps reads its limits and seed from a
-Config value.  The default instance keeps runs reproducible; callers
-needing different caps pass their own frozen copy.
+Every operation that enumerates points, builds fields, factors
+bivariate polynomials or closes permutation groups reads its limits
+from a Config value.  Callers needing different caps pass their own
+frozen copy.
 """
 
 from dataclasses import dataclass
@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Config:
-    # Seed for the randomized equal-degree splitting steps.  Fixed by
-    # default so factor certificates are byte-stable across runs.
-    seed: int = 1729
     # Largest field order make_field will construct for callers.
     field_cap: int = 2**31
     # Largest field order any exhaustive point sweep will walk.

@@ -98,14 +98,13 @@ class RationalMap:
         # canonical scaling: monic numerator
         inv = num.lc().inverse()
         num, den = num * inv, den * inv
-        crit = num.derivative() * den - num * den.derivative()
-        if crit.is_zero():
-            raise NotSeparable("derivative data vanishes identically")
         self.field = num.field
         self.num = num
         self.den = den
         self.degree = num.degree
         self.normalization = normalization
+        if self.critical_poly().is_zero():
+            raise NotSeparable("derivative data vanishes identically")
 
     def critical_poly(self):
         """p'r - pr'; its zeros are the finite critical points."""
@@ -191,8 +190,7 @@ class PointAudit:
     """Fiber sizes of the induced map on rational points over F_{q^m}.
 
     ``fibers`` records only nonempty fibers; every other base point has
-    an empty one.  Verdicts refer to the full point sets unless a branch
-    set was excluded, in which case ``excluded_branch`` lists it.
+    an empty one.  Verdicts refer to the full point sets.
     """
 
     m: int
@@ -201,7 +199,6 @@ class PointAudit:
     injective: bool
     surjective: bool
     bijective: bool
-    excluded_branch: frozenset = None
 
     def fiber_size(self, point):
         return self.fibers.get(point, 0)
@@ -225,31 +222,20 @@ def _extension_for(field, m, config):
     return extension(field, m)
 
 
-def _verdicts(fibers, base_order, exclude=None):
-    if exclude:
-        relevant = [(pt, c) for pt, c in fibers.items() if pt not in exclude]
-        covered = len(relevant)
-        total = base_order + 1 - len(exclude)
-        inj = all(c <= 1 for _, c in relevant)
-    else:
-        covered = len(fibers)
-        total = base_order + 1
-        inj = all(c <= 1 for c in fibers.values())
-    sur = covered == total
+def _verdicts(fibers, base_order):
+    inj = all(c <= 1 for c in fibers.values())
+    sur = len(fibers) == base_order + 1
     return inj, sur, inj and sur
 
 
-def audit_rational_map(f, m, config=DEFAULT_CONFIG, exclude_branch_fibers=False):
+def audit_rational_map(f, m, config=DEFAULT_CONFIG):
     """Exhaustive fiber audit of a rational self-map over F_{q^m}."""
     ext, emb = _extension_for(f.field, m, config)
     counts = Counter(_images(f.over(emb)))  # image code -> fiber size
     counts[None] += 1  # infinity maps to infinity
     fibers = {_point(ext, c): v for c, v in counts.items()}
-    excluded = None
-    if exclude_branch_fibers:
-        excluded = ramified_rational_points(f, m, config).points
-    inj, sur, bij = _verdicts(fibers, ext.order, excluded)
-    return PointAudit(m, ext.order, fibers, inj, sur, bij, excluded)
+    inj, sur, bij = _verdicts(fibers, ext.order)
+    return PointAudit(m, ext.order, fibers, inj, sur, bij)
 
 
 @dataclass(frozen=True)
@@ -275,7 +261,7 @@ def ramified_rational_points(f, m, config=DEFAULT_CONFIG):
     fe = f.over(emb)
     crit = fe.critical_poly()
     points = set()
-    for g, _ in factor_univariate(crit, config).factors:
+    for g, _ in factor_univariate(crit).factors:
         if g.degree == 1:
             # the image of a rational critical point; infinity for a multiple pole
             points.add(_point(ext, next(_images(fe, ((-g.coefficient(0)).code,)))))
@@ -466,6 +452,8 @@ def omitted_point_cover(field, n, a, gamma):
     gamma = field.element(gamma)
     if gamma.is_zero():
         raise ValueError("gamma must be nonzero")
-    roots = [t for t in field.elements() if not t.is_zero() and t != a]
-    h = UPoly.from_roots(field, roots)
-    return make_superelliptic(n, gamma, h)
+    # h = (x^(q-1) - 1) / (x - a) = sum_{i < q-1} a^(q-2-i) x^i
+    codes = [1]
+    for _ in range(q - 2):
+        codes.append(field.mul(codes[-1], a.code))
+    return make_superelliptic(n, gamma, UPoly._of(field, codes[::-1]))

@@ -17,7 +17,6 @@ from .config import DEFAULT_CONFIG
 from .errors import (
     CapExceeded,
     DegreeCapExceeded,
-    NotSeparable,
     PreconditionFailed,
 )
 from .covers import INFINITY, ProjPoint, RationalMap, _images
@@ -38,8 +37,6 @@ def fiber_product_poly(f):
     variable, and its zero locus is the nondiagonal part of the fiber
     product of the map with itself.
     """
-    if f.critical_poly().is_zero():
-        raise NotSeparable("derivative data vanishes identically")
     fld = f.field
     p, r = f.num, f.den
     # coefficient of y^j in p(x) r(y) - p(y) r(x), as a polynomial in x

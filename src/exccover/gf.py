@@ -104,8 +104,7 @@ def lex_smallest_irreducible(p, k):
         # the constant term comes first, so ascending counters scan the
         # high coefficients slowest: exactly lex order on (c_{k-1},..,c_0).
         f = UPoly._of(F, [counter // p**i % p for i in range(k)] + [1])
-        # a root in F_p rules a candidate out before the full test
-        if all(f._at(x) for x in range(p)) and is_irreducible(f):
+        if is_irreducible(f):
             return f._c
     raise AssertionError("no irreducible of degree %d over F_%d" % (k, p))
 

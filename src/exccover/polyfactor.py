@@ -7,10 +7,11 @@ holds the int codes of its coefficients over F_q, and a BPoly is a
 polynomial in y whose coefficients are UPolys in x.
 
 The univariate factorizer is the classical squarefree / distinct-degree /
-equal-degree pipeline with a configuration-fixed seed for the randomized
-splits.  The distinct-degree split is the one walk of Frobenius powers
-x^(Q^d) mod f and yields its parts lazily: root finding reads only its
-first part, and the irreducibility test (Ben-Or) its first nonempty one.
+equal-degree pipeline; its random splits draw from one fixed seed, and
+no result depends on the draws.  The distinct-degree split is the one
+walk of Frobenius powers x^(Q^d) mod f and yields its parts lazily: root
+finding reads only its first part, and the irreducibility test (Ben-Or)
+its first nonempty one.
 
 The bivariate factorizer splits off the content in x and sends the
 primitive part P down the first of four branches that applies (see
@@ -471,6 +472,12 @@ def splitting_type(f):
                  for _ in range(prod.degree // d))
 
 
+# Seed of the equal-degree splits.  The splits are Las Vegas: the draws
+# change how many tries a split takes, never the factors it returns, and
+# every caller sorts those, so no result depends on this value.
+SPLIT_SEED = 1729
+
+
 def _equal_degree_split(f, d, rng):
     """All monic irreducible factors of f, where every factor has degree d."""
     fld = f.field
@@ -534,12 +541,12 @@ class FactorCertificate:
         return True
 
 
-def factor_univariate(f, config=DEFAULT_CONFIG):
+def factor_univariate(f):
     """Complete factorization of a nonzero UPoly into monic irreducibles."""
     if f.is_zero():
         raise DivisionByZero("factorization of the zero polynomial")
     unit = f.lc()
-    rng = random.Random(config.seed)
+    rng = random.Random(SPLIT_SEED)
     factors = []
     for g, mult in squarefree_decomposition(f):
         for d, prod in distinct_degree_split(g):
@@ -549,7 +556,7 @@ def factor_univariate(f, config=DEFAULT_CONFIG):
     return FactorCertificate(f.field, unit, tuple(factors))
 
 
-def roots(f, config=DEFAULT_CONFIG):
+def roots(f):
     """Distinct roots of f in its own field, sorted in enumeration order."""
     if f.is_zero():
         raise DivisionByZero("roots of the zero polynomial")
@@ -558,7 +565,7 @@ def roots(f, config=DEFAULT_CONFIG):
     if linear_part.degree < 1:
         return []
     out = [-irr.coefficient(0) for irr in
-           _equal_degree_split(linear_part, 1, random.Random(config.seed))]
+           _equal_degree_split(linear_part, 1, random.Random(SPLIT_SEED))]
     out.sort(key=lambda r: r.to_int())
     return out
 
@@ -836,7 +843,7 @@ def _good_lines(W, subfield_order=None):
             yield x0, u
 
 
-def _factor_at_extension_line(W, config):
+def _factor_at_extension_line(W):
     """Irreducible factors of W (primitive, squarefree, separable in y),
     found at the first good line over F_{Q^e}, e >= 2."""
     fld = W.field
@@ -852,7 +859,7 @@ def _factor_at_extension_line(W, config):
         # branch 3 runs only when no line over the base field is good
         line = next(_good_lines(We, fld.order), None)
         if line is not None:
-            ext_factors = _hensel_at_line(We, line[0], config)
+            ext_factors = _hensel_at_line(We, line[0])
             return _merge_frobenius_orbits(ext_factors, fld, emb)
     raise ValueError(
         f"no specialization line keeps W squarefree over F_{fld.order}^e "
@@ -891,7 +898,7 @@ def _sort_key_bpoly(F):
     )
 
 
-def _hensel_at_line(W, x0, config):
+def _hensel_at_line(W, x0):
     """Factor W (primitive, squarefree, y-separable) along the line x = x0,
     which must preserve y-degree and squarefreeness.  Subsets of the lifts
     L_i mod x^prec, prec = 2 deg_x + 1, are recombined smallest first
@@ -905,7 +912,7 @@ def _hensel_at_line(W, x0, config):
     Ws = W.shift_x(x0)
     # monic in y modulo x^prec
     Wstar = _truncate_x(Ws * _series_inverse(Ws.coeffs[-1], prec), prec)
-    cert = factor_univariate(Wstar.substitute_x(0), config)
+    cert = factor_univariate(Wstar.substitute_x(0))
     u_factors = [g for g, _ in cert.factors]
     if len(u_factors) == 1:
         return [W.canonical()]
@@ -946,7 +953,7 @@ def _hensel_at_line(W, x0, config):
     return found
 
 
-def _distinct_bivariate_factors(F, config):
+def _distinct_bivariate_factors(F):
     """Set of canonical irreducible factors of a nonconstant BPoly.
 
     The content in x is factored as a univariate polynomial, and the
@@ -966,27 +973,27 @@ def _distinct_bivariate_factors(F, config):
     fld = F.field
     out = set()
     if F.deg_y == 0:
-        cert = factor_univariate(F.coeffs[0], config)
+        cert = factor_univariate(F.coeffs[0])
         return {BPoly.from_x_poly(g).canonical() for g, _ in cert.factors}
     if F.deg_x == 0:
         yp = UPoly._of(fld, [c._c[0] if c else 0 for c in F._c])
-        cert = factor_univariate(yp, config)
+        cert = factor_univariate(yp)
         return {BPoly.from_y_poly(g).canonical() for g, _ in cert.factors}
     cont = content_y(F)
     if cont.degree > 0:
-        cert = factor_univariate(cont, config)
+        cert = factor_univariate(cont)
         out.update(BPoly.from_x_poly(g).canonical() for g, _ in cert.factors)
     P = primitive_part_y(F)
     if P.deg_y == 0:
         return out
     line = next(_good_lines(P), None)
     if line is not None:
-        out.update(_hensel_at_line(P, line[0], config))
+        out.update(_hensel_at_line(P, line[0]))
         return out
     Py = P.derivative_y()
     if Py.is_zero():
         p, zero = fld.p, UPoly.zero(fld)
-        for h in _distinct_bivariate_factors(P._new(P._c[::p]), config):
+        for h in _distinct_bivariate_factors(P._new(P._c[::p])):
             g = P._new([h._c[j // p] if j % p == 0 else zero
                         for j in range(p * h.deg_y + 1)])
             if g.derivative_x().is_zero():
@@ -995,15 +1002,15 @@ def _distinct_bivariate_factors(F, config):
         return out
     G = bgcd(P, Py)
     if G.total_degree == 0:
-        out.update(_factor_at_extension_line(P, config))
+        out.update(_factor_at_extension_line(P))
         return out
-    separable = _distinct_bivariate_factors(bpoly_div_exact(P, G), config)
+    separable = _distinct_bivariate_factors(bpoly_div_exact(P, G))
     R = P
     for g in separable:
         R = _divide_out(R, g)[0]
     out |= separable
     if R.deg_y > 0:
-        out |= _distinct_bivariate_factors(R, config)
+        out |= _distinct_bivariate_factors(R)
     return out
 
 
@@ -1026,7 +1033,7 @@ def factor_bivariate(F, config=DEFAULT_CONFIG):
             f"bidegree ({F.deg_x}, {F.deg_y}) exceeds the cap {cap}")
     if F.total_degree == 0:
         return FactorCertificate(F.field, F.coefficient(0, 0), (), bivariate=True)
-    distinct = _distinct_bivariate_factors(F, config)
+    distinct = _distinct_bivariate_factors(F)
     factors = []
     R = F
     for g in sorted(distinct, key=_sort_key_bpoly):

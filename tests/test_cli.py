@@ -11,7 +11,7 @@ import pytest
 
 from exccover.errors import ParseError, UnknownSymbol
 from exccover.gf import make_field
-from exccover.polyfactor import UPoly
+from exccover.polyfactor import SPLIT_SEED, UPoly
 from exccover import cli
 from exccover.cli import (
     bpoly_to_str,
@@ -264,10 +264,12 @@ def test_analyze_rejects_degree_one(capsys):
 
 
 def test_analyze_seed_echoed(capsys):
-    argv = ["--json", "--seed", "7", "analyze", "--p", "5", "--num", "x^3",
-            "--den", "1", "--m", "1"]
-    _, out, _ = run(capsys, argv)
-    assert json.loads(out)["seed"] == 7
+    # no flag sets the split seed; every report echoes the fixed one
+    argv = ["analyze", "--p", "5", "--num", "x^3", "--den", "1", "--m", "1"]
+    code, out, err = run(capsys, ["--json", "--seed", "7"] + argv)
+    assert code == 1 and out == "" and "error:" in err
+    _, out, _ = run(capsys, ["--json"] + argv)
+    assert json.loads(out)["seed"] == SPLIT_SEED
 
 
 def test_analyze_parse_error_exit_code(capsys):

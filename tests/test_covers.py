@@ -138,14 +138,6 @@ def test_audit_cap():
         audit_rational_map(monomial(F13, 2), 3, Config(enumeration_cap=100))
 
 
-def test_exclude_branch_fibers_option():
-    F7 = make_field(7)
-    audit = audit_rational_map(monomial(F7, 3), 1, exclude_branch_fibers=True)
-    assert audit.excluded_branch == frozenset({fin(F7, 0), INFINITY})
-    # over the non-branch points the cube map is 3-to-1 or 0-to-1
-    assert not audit.injective and not audit.surjective
-
-
 # ---------------------------------------------------------------------------
 # Branch loci.
 

@@ -67,6 +67,43 @@ def test_make_field_degree_three_over_two():
     assert F8.modulus == (1, 1, 0, 1)  # x^3 + x + 1
 
 
+def _has_monic_divisor(f, p):
+    """True when a monic polynomial of degree 1 ... deg f // 2 divides f
+    (coefficient lists low to high over F_p), by trial division."""
+    k = len(f) - 1
+    for d in range(1, k // 2 + 1):
+        for counter in range(p**d):
+            g = [counter // p**i % p for i in range(d)] + [1]
+            r = list(f)
+            for top in range(k, d - 1, -1):
+                c = r[top]
+                if c:
+                    for i in range(d + 1):
+                        r[top - d + i] = (r[top - d + i] - c * g[i]) % p
+            if not any(r):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p", [2, 17, 41, 3, 11, 251, 5, 13, 197, 7, 23, 239])
+def test_lex_smallest_irreducible_matches_trial_division(p):
+    # primes from each residue class mod 8, every degree k >= 2 with
+    # p^k <= 2^16: the first candidate in lex order with no divisor
+    k = 2
+    while p**k <= 2**16:
+        expect = next(
+            f for f in ([counter // p**i % p for i in range(k)] + [1]
+                        for counter in range(p**k))
+            if not _has_monic_divisor(f, p))
+        assert gf.lex_smallest_irreducible(p, k) == tuple(expect), (p, k)
+        k += 1
+
+
+def test_lex_smallest_irreducible_large_prime():
+    # 3 is a non-residue mod the Fermat prime 65537 and -1, 2 are squares
+    assert gf.lex_smallest_irreducible(65537, 2) == (3, 0, 1)
+
+
 def test_make_field_rejects_composite_characteristic():
     with pytest.raises(NonPrime):
         make_field(4, 1)

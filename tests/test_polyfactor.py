@@ -146,8 +146,34 @@ def test_factor_deterministic_across_runs():
     c1 = factor_univariate(f)
     c2 = factor_univariate(f)
     assert c1.factors == c2.factors
-    c3 = factor_univariate(f, Config(seed=999))
-    assert {g for g, _ in c1.factors} == {g for g, _ in c3.factors}
+
+
+def _key(g):
+    return (g.degree, g._c)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (7, 1), (3, 2), (13, 1)])
+def test_equal_degree_split_independent_of_generator(p, k, monkeypatch):
+    # the splits are Las Vegas: any generator returns the same factors
+    # (by the trace map in characteristic 2, by (q^d - 1)/2 powers else)
+    F = make_field(p, k)
+    rng = random.Random(3)
+    for d in (1, 2, 3):
+        draws = (UPoly(F, [F.from_int(rng.randrange(F.order))
+                           for _ in range(d)] + [1]) for _ in range(12))
+        irreducibles = {g for g in draws if is_irreducible(g)}
+        assert irreducibles
+        f = UPoly.one(F)
+        for g in irreducibles:
+            f = f * g
+        expect = sorted(irreducibles, key=_key)
+        for seed in (0, 1, 1729, 2**40):
+            split = polyfactor._equal_degree_split(f, d, random.Random(seed))
+            assert sorted(split, key=_key) == expect, (seed, d)
+            if d == 1:
+                monkeypatch.setattr(polyfactor, "SPLIT_SEED", seed)
+                assert roots(f) == sorted((-g.coefficient(0) for g in expect),
+                                          key=lambda r: r.to_int())
 
 
 def test_low_degree_irreducibles_have_no_root():
@@ -903,7 +929,7 @@ def test_hensel_extension_search_is_bounded(monkeypatch, extension_degrees):
     W = BPoly.from_grid(F2, [[F2.element(v) for v in row]
                              for row in [[1, 0, 1], [0, 1]]])  # y^2 + xy + 1
     with pytest.raises(ValueError, match="e <= 2"):
-        polyfactor._factor_at_extension_line(W, Config())
+        polyfactor._factor_at_extension_line(W)
     assert extension_degrees == [(1, 2)]
 
 
@@ -944,7 +970,6 @@ def test_good_line_factors_without_gcd_chain(monkeypatch):
 def test_fallback_matches_good_line_path():
     # On squarefree primitive P with a good F_q-line, the extension-line
     # fallback and the good-line path find the same factors.
-    cfg = Config()
     rng = random.Random(8)
     checked = 0
     for p in (5, 7):
@@ -955,8 +980,8 @@ def test_fallback_matches_good_line_path():
             if (P.is_zero() or content_y(P).degree != 0
                     or next(polyfactor._good_lines(P), None) is None):
                 continue
-            fast = polyfactor._distinct_bivariate_factors(P, cfg)
-            assert set(polyfactor._factor_at_extension_line(P, cfg)) == fast
+            fast = polyfactor._distinct_bivariate_factors(P)
+            assert set(polyfactor._factor_at_extension_line(P)) == fast
             checked += 1
     assert checked >= 16
 
