@@ -9,12 +9,9 @@ runs splitting-type censuses against cycle-type predictions.
 
 __version__ = "0.1.0"
 
-from .config import Config, DEFAULT_CONFIG
 from .gf import Field, Fel, make_field, embed, extension, nth_power_solution_count
 
 __all__ = [
-    "Config",
-    "DEFAULT_CONFIG",
     "Field",
     "Fel",
     "make_field",

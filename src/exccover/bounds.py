@@ -105,25 +105,17 @@ def galois_closure_genus_bound(n, g_x, g_y=0, group_order=None):
 
 def chebotarev_threshold(g_v, group_order, ramified_count):
     """Least field size K with sqrt(K) >= 2 g_V + sqrt(#G * #U),
-    clamped to 1, decided by exact squared comparisons."""
+    clamped to 1.
+
+    With a = 2 g_V and gu = #G * #U, both sides are nonnegative, so
+    squaring gives K >= a^2 + gu + sqrt(4 a^2 gu), whose least integer
+    solution is a^2 + gu + ceil(sqrt(4 a^2 gu)), all in integers."""
     if g_v < 0 or group_order < 0 or ramified_count < 0:
         raise ValueError("inputs must be >= 0")
-    gu = group_order * ramified_count
-
-    def ok(K):
-        # sqrt(K) >= a + sqrt(gu) with a = 2 g_v, all terms nonnegative
-        a = 2 * g_v
-        s = K - a * a - gu
-        return s >= 0 and s * s >= 4 * a * a * gu
-
-    lo, hi = 1, (2 * g_v + isqrt(gu) + 1) ** 2 + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    a, gu = 2 * g_v, group_order * ramified_count
+    d = 4 * a * a * gu
+    ceil_root = isqrt(d - 1) + 1 if d else 0
+    return max(1, a * a + gu + ceil_root)
 
 
 @dataclass(frozen=True)

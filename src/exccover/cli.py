@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import __version__
-from .config import Config, DEFAULT_CONFIG
+from .config import ENUMERATION_CAP, FIELD_CAP, over_cap
 from .errors import (
     CapExceeded,
     ExcCoverError,
@@ -251,7 +251,7 @@ def parse_cycles(text, deg):
     return Perm.from_cycles(deg, cycles)
 
 
-def load_group_spec(path, config=DEFAULT_CONFIG):
+def load_group_spec(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     sections = {}
@@ -282,8 +282,8 @@ def load_group_spec(path, config=DEFAULT_CONFIG):
         deg = int(raw)
     elif deg < 1:
         raise ValueError("the spec names no point; give its degree in [deg]")
-    A = PermGroup(deg, [parse_cycles(t, deg) for t in sections["A"]], config)
-    G = PermGroup(deg, [parse_cycles(t, deg) for t in sections["G"]], config)
+    A = PermGroup(deg, [parse_cycles(t, deg) for t in sections["A"]])
+    G = PermGroup(deg, [parse_cycles(t, deg) for t in sections["G"]])
     if len(sections["a"]) != 1:
         raise ValueError("section [a] must hold exactly one representative")
     rep = parse_cycles(sections["a"][0], deg)
@@ -365,17 +365,16 @@ def _parse_m_list(raw, default):
     return out
 
 
-def _within_cap(stage, degrees, q, config, skipped):
+def _within_cap(stage, degrees, q, cap, skipped):
     """The degrees m of the list with q^m within the enumeration cap; each
     other one goes to ``skipped`` with its reason."""
-    cap = config.enumeration_cap
     kept = []
     for m in degrees:
-        if q**m <= cap:
-            kept.append(m)
-        else:
+        if power := over_cap(q, m, cap):
             skipped.append({"stage": stage, "m": m, "reason":
-                            f"q^m = {q**m} exceeds the enumeration cap {cap}"})
+                            f"q^m = {power} exceeds the enumeration cap {cap}"})
+        else:
+            kept.append(m)
     return kept
 
 
@@ -383,16 +382,16 @@ def _skipped_text(skipped):
     return [f"{s['stage']} m={s['m']}: skipped ({s['reason']})" for s in skipped]
 
 
-def _field_from_q(q, config):
+def _field_from_q(q):
     # the cap comes first: factoring an oversized q by trial division hangs
-    if q > config.field_cap:
-        raise CapExceeded(f"{q} exceeds the field cap {config.field_cap}")
+    if q > FIELD_CAP:
+        raise CapExceeded(f"{q} exceeds the field cap {FIELD_CAP}")
     p, k = prime_power_decomposition(q)
-    return make_field(p, k, config)
+    return make_field(p, k)
 
 
-def cmd_analyze(args, config):
-    field = make_field(args.p, args.k, config)
+def cmd_analyze(args):
+    field = make_field(args.p, args.k)
     num = parse_poly(args.num, field)
     den = parse_poly(args.den, field)
     f = RationalMap(num, den)
@@ -402,17 +401,17 @@ def cmd_analyze(args, config):
     q = field.order
 
     skipped = []
-    sweep = _within_cap("audit", _parse_m_list(args.m, (1, 2, 3)), q, config,
+    sweep = _within_cap("audit", _parse_m_list(args.m, (1, 2, 3)), q, args.cap,
                         skipped)
     census_sweep = _within_cap("census", _parse_m_list(args.census_m, (1,)), q,
-                               config, skipped)
+                               args.cap, skipped)
 
-    report = decide_exceptional(f, config)
-    audits = [audit_rational_map(f, m, config) for m in sweep]
-    censuses = [splitting_census(f, m, config) for m in census_sweep]
+    report = decide_exceptional(f, args.cap)
+    audits = [audit_rational_map(f, m, args.cap) for m in sweep]
+    censuses = [splitting_census(f, m, args.cap) for m in census_sweep]
     census1 = next((c for c in censuses if c.m == 1), None)
     branch = (BranchLocus(1, census1.branch_points, 2 * f.degree - 2)
-              if census1 is not None else ramified_rational_points(f, 1, config))
+              if census1 is not None else ramified_rational_points(f, 1, args.cap))
 
     validators = {"intersection_violations":
                   len(validate_intersection_property(report))}
@@ -471,7 +470,7 @@ def cmd_analyze(args, config):
     if skipped:
         results["skipped_degrees"] = skipped
     if args.group_spec:
-        spec = load_group_spec(args.group_spec, config)
+        spec = load_group_spec(args.group_spec)
         prediction = cycle_type_histogram(spec)
         results["census_vs_prediction"] = [
             _census_comparison_json(c, prediction) for c in censuses
@@ -560,8 +559,8 @@ def _census_comparison_json(census, prediction):
             "total_variation_distance": frac_json(tv / 2)}
 
 
-def cmd_superelliptic(args, config):
-    field = _field_from_q(args.q, config)
+def cmd_superelliptic(args):
+    field = _field_from_q(args.q)
     a = parse_poly(args.a, field)
     gamma = parse_poly(args.gamma, field)
     if a.degree > 0 or gamma.degree > 0:
@@ -570,8 +569,8 @@ def cmd_superelliptic(args, config):
                                 a.coefficient(0), gamma.coefficient(0))
     q = field.order
     skipped = []
-    sweep = _within_cap("audit", _parse_m_list(args.m, (1,)), q, config, skipped)
-    audits = [audit_superelliptic(cover, m, config) for m in sweep]
+    sweep = _within_cap("audit", _parse_m_list(args.m, (1,)), q, args.cap, skipped)
+    audits = [audit_superelliptic(cover, m, args.cap) for m in sweep]
     formula_genus = (cover.n - 1) * (q - 3) // 2
 
     results = {
@@ -605,8 +604,8 @@ def cmd_superelliptic(args, config):
     return results, lines
 
 
-def cmd_groups(args, config):
-    spec = load_group_spec(args.spec, config)
+def cmd_groups(args):
+    spec = load_group_spec(args.spec)
     # the conditions run first: their qualifying elements are dropped
     # before the coset is built, once, and kept on the spec
     try:
@@ -656,7 +655,7 @@ def cmd_groups(args, config):
     return results, lines
 
 
-def cmd_bounds(args, config):
+def cmd_bounds(args):
     rep = threshold_report(args.n, args.gx, args.gy, args.gorder, args.ramified)
     results = _threshold_json(rep, args.q)
     lines = [
@@ -674,15 +673,15 @@ def cmd_bounds(args, config):
     return results, lines
 
 
-def _example_instances(config):
+def _example_instances(cap):
     """The explicit cover instances replayed by the examples subcommand."""
     out = []
 
     for q, n, a, gammas in ((13, 3, 8, (1, 2)),):
-        field = make_field(q, 1, config)
+        field = make_field(q)
         for gamma in gammas:
             cover = omitted_point_cover(field, n, a, gamma)
-            audit = audit_superelliptic(cover, 1, config)
+            audit = audit_superelliptic(cover, 1, cap)
             surj_case = gamma == 1
             claims = {
                 "genus_is_family_value": cover.genus == (n - 1) * (q - 3) // 2,
@@ -696,10 +695,10 @@ def _example_instances(config):
             })
 
     for q, a, b in ((17, 10, 3), (29, 13, 4)):
-        field = make_field(q, 1, config)
+        field = make_field(q)
         f = quintic_pair_map(field, a, b)
-        rep = decide_exceptional(f, config)
-        audit = audit_rational_map(f, 1, config)
+        rep = decide_exceptional(f, cap)
+        audit = audit_rational_map(f, 1, cap)
         claims = {
             "bijective_on_rational_points": audit.bijective,
             "not_exceptional": not rep.exceptional,
@@ -711,10 +710,10 @@ def _example_instances(config):
         })
 
     for q in (13, 17, 29):
-        field = make_field(q, 1, config)
+        field = make_field(q)
         f = quintic_twist_map(field)
-        rep = decide_exceptional(f, config)
-        audit = audit_rational_map(f, 1, config)
+        rep = decide_exceptional(f, cap)
+        audit = audit_rational_map(f, 1, cap)
         claims = {
             "exceptional": rep.exceptional,
             "bijective_on_rational_points": audit.bijective,
@@ -727,8 +726,8 @@ def _example_instances(config):
     return out
 
 
-def cmd_examples(args, config):
-    instances = _example_instances(config)
+def cmd_examples(args):
+    instances = _example_instances(args.cap)
     ok = all(inst["pass"] for inst in instances)
     results = {"instances": instances, "all_pass": ok}
     lines = []
@@ -761,7 +760,7 @@ def build_parser():
     ap = _Parser(prog="exccover", description=__doc__)
     ap.add_argument("--json", action="store_true",
                     help="emit a key-sorted JSON report")
-    ap.add_argument("--cap", type=int, default=DEFAULT_CONFIG.enumeration_cap,
+    ap.add_argument("--cap", type=int, default=ENUMERATION_CAP,
                     help="enumeration cap for exhaustive point sweeps")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -826,10 +825,9 @@ def main(argv=None):
     except ExcCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    config = Config(enumeration_cap=args.cap)
     started = time.perf_counter()
     try:
-        results, lines = _DISPATCH[args.command](args, config)
+        results, lines = _DISPATCH[args.command](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

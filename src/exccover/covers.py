@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .config import DEFAULT_CONFIG
+from .config import ENUMERATION_CAP, over_cap
 from .errors import CapExceeded, MixedFields, NotSeparable, WildCase
 from .gf import Fel, embedding, extension, nth_power_solution_count
 from .polyfactor import (
@@ -214,11 +214,10 @@ class PointAudit:
         return out
 
 
-def _extension_for(field, m, config):
-    if field.order**m > config.enumeration_cap:
+def _extension_for(field, m, cap):
+    if power := over_cap(field.order, m, cap):
         raise CapExceeded(
-            f"enumerating q^m = {field.order**m} points exceeds cap "
-            f"{config.enumeration_cap}")
+            f"enumerating q^m = {power} points exceeds cap {cap}")
     return extension(field, m)
 
 
@@ -228,9 +227,9 @@ def _verdicts(fibers, base_order):
     return inj, sur, inj and sur
 
 
-def audit_rational_map(f, m, config=DEFAULT_CONFIG):
+def audit_rational_map(f, m, cap=ENUMERATION_CAP):
     """Exhaustive fiber audit of a rational self-map over F_{q^m}."""
-    ext, emb = _extension_for(f.field, m, config)
+    ext, emb = _extension_for(f.field, m, cap)
     counts = Counter(_images(f.over(emb)))  # image code -> fiber size
     counts[None] += 1  # infinity maps to infinity
     fibers = {_point(ext, c): v for c, v in counts.items()}
@@ -248,7 +247,7 @@ class BranchLocus:
     bound: int
 
 
-def ramified_rational_points(f, m, config=DEFAULT_CONFIG):
+def ramified_rational_points(f, m, cap=ENUMERATION_CAP):
     """All rational base points over F_{q^m} with a ramified point above.
 
     Finite branch points are images of critical points; a critical point
@@ -257,7 +256,7 @@ def ramified_rational_points(f, m, config=DEFAULT_CONFIG):
     factors.  Infinity is a branch point when its own ramification index
     exceeds one or two poles coincide (checked on the reciprocal chart).
     """
-    ext, emb = _extension_for(f.field, m, config)
+    ext, emb = _extension_for(f.field, m, cap)
     fe = f.over(emb)
     crit = fe.critical_poly()
     points = set()
@@ -293,7 +292,7 @@ class CensusReport:
         return sum(self.histogram.values())
 
 
-def splitting_census(f, m, config=DEFAULT_CONFIG):
+def splitting_census(f, m, cap=ENUMERATION_CAP):
     """Histogram of fiber splitting types over F_{q^m}.
 
     For a non-branch finite t the type is the multiset of degrees of the
@@ -312,8 +311,8 @@ def splitting_census(f, m, config=DEFAULT_CONFIG):
     is factored only when n - a_1 >= 6, or n - a_1 >= 4 in characteristic
     2.
     """
-    branch = ramified_rational_points(f, m, config)
-    ext, emb = _extension_for(f.field, m, config)
+    branch = ramified_rational_points(f, m, cap)
+    ext, emb = _extension_for(f.field, m, cap)
     fe = f.over(emb)
     fiber = Counter(_images(fe))
     skip = {P.x.code for P in branch.points if not P.is_infinity}
@@ -406,7 +405,7 @@ def totally_ramified_at_infinity(cover):
     return gcd(cover.n, cover.h.degree) == 1
 
 
-def audit_superelliptic(cover, m, config=DEFAULT_CONFIG):
+def audit_superelliptic(cover, m, cap=ENUMERATION_CAP):
     """Exhaustive fiber audit of the projection to the x-line over F_{q^m}.
 
     Fibers are counted on the smooth model: above a finite base point x0
@@ -416,7 +415,7 @@ def audit_superelliptic(cover, m, config=DEFAULT_CONFIG):
     field = cover.h.field
     if cover.n % field.p == 0:
         raise WildCase("cover exponent divisible by the characteristic")
-    ext, emb = _extension_for(field, m, config)
+    ext, emb = _extension_for(field, m, cap)
     he = cover.h.map_coefficients(emb, ext)
     ge = emb(cover.gamma)
     fibers = {}

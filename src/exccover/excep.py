@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 
-from .config import DEFAULT_CONFIG
+from .config import BIVARIATE_DEGREE_CAP, ENUMERATION_CAP
 from .errors import (
     CapExceeded,
     DegreeCapExceeded,
@@ -102,18 +102,18 @@ def _diagonal_canonical(field):
     return BPoly(field, [UPoly(field, (0, -1)), 1])
 
 
-def decide_exceptional(f, config=DEFAULT_CONFIG):
+def decide_exceptional(f, cap=ENUMERATION_CAP):
     """Factor the nondiagonal fiber product and classify each factor."""
     # Phi has bidegree exactly (n - 1, n - 1): refuse it before building it
-    n, cap = f.degree, config.bivariate_degree_cap
-    if n - 1 > cap:
+    d = f.degree - 1
+    if d > BIVARIATE_DEGREE_CAP:
         raise DegreeCapExceeded(
-            f"bidegree ({n - 1}, {n - 1}) exceeds the cap {cap}")
+            f"bidegree ({d}, {d}) exceeds the cap {BIVARIATE_DEGREE_CAP}")
     phi = fiber_product_poly(f)
-    cert = factor_bivariate(phi, config)
+    cert = factor_bivariate(phi)
     diag = _diagonal_canonical(f.field)
     # points only while the walk over F_q stays within the enumeration cap
-    scan = f.field.order <= config.enumeration_cap
+    scan = f.field.order <= cap
     if scan:  # rows (P, the Q with f(Q) = f(P)); code q is infinity, fixed by f
         images = [*_images(f), None]
         fibers = {}
@@ -125,7 +125,7 @@ def decide_exceptional(f, config=DEFAULT_CONFIG):
         rows.append(FactorClassification(
             poly=G,
             multiplicity=mult,
-            components=absolute_component_count(G, config),
+            components=absolute_component_count(G),
             points=tuple(factor_points(G, pairs)) if scan else None,
         ))
     exceptional = all(not row.absolutely_irreducible for row in rows)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cache
 from math import gcd
 
-from .config import DEFAULT_CONFIG
+from .config import FIELD_CAP, over_cap
 from .errors import (
     CapExceeded,
     MixedFields,
@@ -185,13 +185,13 @@ class Field:
         return Fel(self, generator(self.order, self.pow))
 
 
-def make_field(p, k=1, config=DEFAULT_CONFIG):
+def make_field(p, k=1):
     """F_{p^k} with the deterministic lexicographically smallest modulus."""
     if k < 1:
         raise ValueError("extension degree must be >= 1")
     # the cap comes first: trial division of an oversized p hangs
-    if p**k > config.field_cap:
-        raise CapExceeded(f"{p}^{k} exceeds the field cap {config.field_cap}")
+    if p >= 2 and over_cap(p, k, FIELD_CAP):
+        raise CapExceeded(f"{p}^{k} exceeds the field cap {FIELD_CAP}")
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
     return _field(p, k)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .config import DEFAULT_CONFIG
+from .config import ENUMERATION_CAP, GROUP_CAP
 from .errors import CapExceeded, NotSubgroup, NotTransitive
 
 
@@ -140,7 +140,7 @@ class PermGroup:
 
     __slots__ = ("deg", "generators", "elements")
 
-    def __init__(self, deg, generators, config=DEFAULT_CONFIG):
+    def __init__(self, deg, generators):
         gens = tuple(generators)
         for g in gens:
             if g.deg != deg:
@@ -158,7 +158,7 @@ class PermGroup:
                     if c not in elements:
                         elements.add(c)
                         new.append(c)
-                        if len(elements) > config.group_cap:
+                        if len(elements) > GROUP_CAP:
                             raise CapExceeded("group closure exceeds the cap")
             frontier = new
         self.deg = deg
@@ -175,12 +175,12 @@ class PermGroup:
         return G
 
     @classmethod
-    def symmetric(cls, deg, config=DEFAULT_CONFIG):
+    def symmetric(cls, deg):
         if deg == 1:
             return cls(1, ())
         gens = [Perm.from_cycles(deg, [(0, 1)]),
                 Perm.from_cycles(deg, [tuple(range(deg))])]
-        return cls(deg, gens, config)
+        return cls(deg, gens)
 
     @property
     def order(self):
@@ -436,10 +436,10 @@ def all_subgroups_symmetric(n):
     subgroup it does not contain, until no join is new.  The (n!)^2
     multiplication table must fit the enumeration cap, so n <= 6."""
     size = math.factorial(n)
-    if size * size > DEFAULT_CONFIG.enumeration_cap:
+    if size * size > ENUMERATION_CAP:
         raise CapExceeded(
             f"the multiplication table of S_{n} has {size}^2 entries, "
-            f"over the enumeration cap {DEFAULT_CONFIG.enumeration_cap}")
+            f"over the enumeration cap {ENUMERATION_CAP}")
     perms, _, mul = _symmetric_table(n)
     cyclic = {}  # mask of <g> -> the first g generating it
     for g in range(size):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
-from .config import DEFAULT_CONFIG
+from .config import BIVARIATE_DEGREE_CAP
 from .errors import (
     DegreeCapExceeded,
     DivisionByZero,
@@ -528,14 +528,14 @@ class FactorCertificate:
             acc = acc * poly**mult
         return acc * self.unit
 
-    def recheck(self, config=DEFAULT_CONFIG):
+    def recheck(self):
         """True when every listed factor passes an irreducibility re-test."""
         for poly, _ in self.factors:
             if isinstance(poly, UPoly):
                 if not is_irreducible(poly):
                     return False
             else:
-                cert = factor_bivariate(poly, config)
+                cert = factor_bivariate(poly)
                 if len(cert.factors) != 1 or cert.factors[0][1] != 1:
                     return False
         return True
@@ -1022,15 +1022,14 @@ def _divide_out(F, g):
     return F, m
 
 
-def factor_bivariate(F, config=DEFAULT_CONFIG):
+def factor_bivariate(F):
     """Complete factorization of a nonzero BPoly into canonical
     irreducibles with multiplicities."""
     if F.is_zero():
         raise DivisionByZero("factorization of the zero polynomial")
-    cap = config.bivariate_degree_cap
-    if F.deg_x > cap or F.deg_y > cap:
-        raise DegreeCapExceeded(
-            f"bidegree ({F.deg_x}, {F.deg_y}) exceeds the cap {cap}")
+    if F.deg_x > BIVARIATE_DEGREE_CAP or F.deg_y > BIVARIATE_DEGREE_CAP:
+        raise DegreeCapExceeded(f"bidegree ({F.deg_x}, {F.deg_y}) exceeds "
+                                f"the cap {BIVARIATE_DEGREE_CAP}")
     if F.total_degree == 0:
         return FactorCertificate(F.field, F.coefficient(0, 0), (), bivariate=True)
     distinct = _distinct_bivariate_factors(F)
@@ -1075,7 +1074,7 @@ class GeometricFactor(_ComponentFields):
 _BOUND_LINES = 4
 
 
-def absolute_component_count(G, config=DEFAULT_CONFIG):
+def absolute_component_count(G):
     """Number of absolutely irreducible components of an F_q-irreducible
     bivariate polynomial.
 
@@ -1095,10 +1094,10 @@ def absolute_component_count(G, config=DEFAULT_CONFIG):
     times that of one factor over F_{Q^l}, whose own bound divides e / l.
     When no prime of e splits G, c = 1.  No field beyond F_{Q^e} is built.
     """
-    return _component_count_below(G, 0, None, config)
+    return _component_count_below(G, 0, None)
 
 
-def _component_count_below(G, bound, base_order, config):
+def _component_count_below(G, bound, base_order):
     """``absolute_component_count`` of G, given that its count divides
     ``bound`` (0 gives no information) and, unless ``base_order`` is None,
     that G is a factor of an F_q-irreducible polynomial over the subfield
@@ -1117,14 +1116,14 @@ def _component_count_below(G, bound, base_order, config):
                 break
     for ell in prime_factors(e):
         ext, emb = extension(G.field, ell)
-        factors = factor_bivariate(G.map_coefficients(emb, ext), config).factors
+        factors = factor_bivariate(G.map_coefficients(emb, ext)).factors
         if len(factors) > 1:
             return ell * _component_count_below(
-                factors[0][0], e // ell, G.field.order, config)
+                factors[0][0], e // ell, G.field.order)
     return 1
 
 
-def geometric_components(F, config=DEFAULT_CONFIG):
+def geometric_components(F):
     """Per-factor component counts for a squarefree bivariate polynomial,
     by ``absolute_component_count`` on each F_q-irreducible factor.  The
     number of components equals the degree of each component's field of
@@ -1132,10 +1131,10 @@ def geometric_components(F, config=DEFAULT_CONFIG):
     """
     if F.is_zero():
         raise DivisionByZero("geometric components of the zero polynomial")
-    cert = factor_bivariate(F, config)
+    cert = factor_bivariate(F)
     if any(m > 1 for _, m in cert.factors):
         raise NotSquarefree("input has a repeated factor")
     out = []
     for G, _ in cert.factors:
-        out.append(GeometricFactor(G, absolute_component_count(G, config)))
+        out.append(GeometricFactor(G, absolute_component_count(G)))
     return tuple(out)

@@ -1,3 +1,5 @@
+import itertools
+import random
 from math import factorial, isqrt
 
 import pytest
@@ -99,6 +101,34 @@ def test_genus_bound_rounds_up():
     assert galois_closure_genus_bound(3, 1, 0, 3) == 3
     # negative odd numerator -1 also rounds toward positive infinity
     assert galois_closure_genus_bound(2, 0, 0, 1) == 1
+
+
+def bisected_chebotarev_threshold(g_v, group_order, ramified_count):
+    """Least K >= 1 with sqrt(K) >= 2 g_V + sqrt(#G * #U), by bisection
+    on exact squared comparisons."""
+    a, gu = 2 * g_v, group_order * ramified_count
+
+    def ok(K):
+        s = K - a * a - gu
+        return s >= 0 and s * s >= 4 * a * a * gu
+
+    lo, hi = 1, (a + isqrt(gu) + 1) ** 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_chebotarev_closed_form_matches_bisection():
+    for args in itertools.product(range(40), range(60), range(12)):
+        assert chebotarev_threshold(*args) == bisected_chebotarev_threshold(*args)
+    rng = random.Random(2005)
+    for _ in range(3000):
+        args = [rng.randrange(10 ** rng.randrange(1, 31)) for _ in range(3)]
+        assert chebotarev_threshold(*args) == bisected_chebotarev_threshold(*args)
 
 
 def test_chebotarev_threshold_examples():

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -254,6 +255,27 @@ def test_superelliptic_reports_over_cap_degrees(capsys):
     assert code == 0
     assert ("audit m=3: skipped (q^m = 2197 exceeds the enumeration cap 1000)"
             in out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--p", "13", "--num", "x^2", "--den", "1", "--m", "1,10000000"],
+    ["superelliptic", "--q", "13", "--n", "3", "--a", "8", "--gamma", "1",
+     "--m", "1,10000000"],
+])
+def test_huge_over_cap_degree_is_skipped_unexpanded(argv, capsys):
+    # 13^(10^7) is over the cap by its exponent alone; the power is never
+    # computed, and the reason writes it unexpanded
+    reason = "q^m = 13^10000000 exceeds the enumeration cap 4194304"
+    started = time.perf_counter()
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert [a["m"] for a in res["audits"]] == [1]
+    assert res["skipped_degrees"] == [
+        {"stage": "audit", "m": 10000000, "reason": reason}]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and f"audit m=10000000: skipped ({reason})" in out
 
 
 def test_analyze_rejects_degree_one(capsys):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from exccover.config import Config
 from exccover.errors import CapExceeded, NotSeparable, WildCase
 from exccover.gf import is_prime, make_field, nth_power_solution_count
 from exccover.polyfactor import UPoly, splitting_type, upoly_gcd
@@ -135,7 +134,7 @@ def test_fiber_mass_invariant():
 def test_audit_cap():
     F13 = make_field(13)
     with pytest.raises(CapExceeded):
-        audit_rational_map(monomial(F13, 2), 3, Config(enumeration_cap=100))
+        audit_rational_map(monomial(F13, 2), 3, cap=100)
 
 
 # ---------------------------------------------------------------------------

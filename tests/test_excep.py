@@ -4,7 +4,6 @@ from math import gcd
 
 import pytest
 
-from exccover.config import Config
 from exccover.errors import CapExceeded, NotSeparable, PreconditionFailed
 from exccover.gf import is_prime, make_field
 from exccover.polyfactor import BPoly, UPoly, bpoly_div_exact
@@ -408,9 +407,9 @@ def test_factor_points_and_validators_need_q_within_the_enumeration_cap():
     cube = monomial_map(F5, 3)
     audit = audit_rational_map(cube, 1)
     assert audit.injective
-    within = decide_exceptional(cube, Config(enumeration_cap=5))
+    within = decide_exceptional(cube, cap=5)
     assert [row.affine_points for row in within.factors] == [1]
-    rep = decide_exceptional(cube, Config(enumeration_cap=4))
+    rep = decide_exceptional(cube, cap=4)
     assert rep.exceptional == within.exceptional
     assert [(row.points, row.affine_points) for row in rep.factors] == [
         (None, None)]

@@ -1,10 +1,10 @@
 import random
+import time
 from math import gcd
 
 import pytest
 
 from exccover import _kernel, gf
-from exccover.config import Config
 from exccover.errors import (
     CapExceeded,
     DivisionByZero,
@@ -117,7 +117,14 @@ def test_make_field_cap():
     # the cap is checked before primality, so a composite above it too
     with pytest.raises(CapExceeded):
         make_field(2**32)
-    make_field(2, 40, Config(field_cap=2**41))
+    # 3^(10^7) is over the cap by its exponent alone, so it is never computed
+    started = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        make_field(3, 10**7)
+    assert time.perf_counter() - started < 1
+    # a p below 2 is no prime, whatever its power
+    with pytest.raises(NonPrime):
+        make_field(1, 40)
 
 
 def test_field_value_equality():
@@ -290,7 +297,6 @@ def test_prime_factors():
 
 def test_make_field_interns_each_field():
     assert make_field(7, 2) is make_field(7, 2)
-    assert make_field(13) is make_field(13, 1, Config(field_cap=13))
     for p, k in ((5, 2), (2, 3), (13, 4)):
         assert extension(make_field(p), k)[0] is make_field(p, k)
     assert extension(make_field(3, 2), 2)[0] is make_field(3, 4)
@@ -321,10 +327,10 @@ def test_interned_fields_still_reject_mixing():
 
 
 def test_make_field_cap_applies_to_cached_fields():
-    F = make_field(2, 10)
-    assert make_field(2, 10) is F
+    F = extension(make_field(2), 32)[0]  # F_{2^32}, built past the field cap
+    assert F.order == 2**32
     with pytest.raises(CapExceeded):
-        make_field(2, 10, Config(field_cap=2**9))
+        make_field(2, 32)
     with pytest.raises(NonPrime):
         make_field(9)
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from exccover.config import Config
 from exccover.errors import CapExceeded, NotSubgroup, NotTransitive
 from exccover.groups import (
     CosetSpec,
@@ -55,7 +54,7 @@ def test_group_closure_and_cap():
     assert A3().order == 3
     assert PermGroup.symmetric(5).order == 120
     with pytest.raises(CapExceeded):
-        PermGroup.symmetric(8, Config(group_cap=1000))
+        PermGroup.symmetric(9)
 
 
 def test_orbits():

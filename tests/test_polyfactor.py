@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 
 from exccover import polyfactor
-from exccover.config import Config
 from exccover.covers import RationalMap
 from exccover.errors import (
     DegreeCapExceeded,
@@ -434,7 +433,6 @@ def test_factor_bivariate_degree_cap():
     big = BPoly.from_y_poly(UPoly.x(F2) ** 17 + UPoly.one(F2))
     with pytest.raises(DegreeCapExceeded):
         factor_bivariate(big)
-    factor_bivariate(big, Config(bivariate_degree_cap=17))
 
 
 def test_factor_bivariate_roundtrip_random():
