@@ -25,14 +25,6 @@ def prime_power_decomposition(q):
     return p, e
 
 
-def is_prime_power(q):
-    try:
-        prime_power_decomposition(q)
-        return True
-    except NotPrimePower:
-        return False
-
-
 def castelnuovo_bound(d1, d2, g1, g2):
     """(d1 - 1)(d2 - 1) + d1 g1 + d2 g2: arithmetic-genus bound for a
     curve mapping to a product of curves with the given degrees."""

@@ -514,18 +514,35 @@ def _points_text(points):
         for P in sorted(points, key=lambda P: P.sort_key())) + "}"
 
 
+def _decimal(n):
+    """str(n) for an int of any size: n is split at powers of ten until
+    each part has at most 512 digits, below the least int-to-str limit
+    the interpreter accepts (640 digits; 4300 by default)."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = 512
+    if n < 10**k:
+        return str(n)
+    while 10 ** (2 * k) <= n:
+        k *= 2
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def _threshold_json(rep, q=None):
+    """The threshold table, its numbers as decimal strings; the text
+    report of ``bounds`` prints the same strings."""
     out = {
         "degree": rep.n,
         "genus": rep.g_x,
-        "injectivity_quadratic_bound": str(rep.injectivity.quadratic_bound),
-        "injectivity_quadratic_min_q": str(rep.injectivity.minimal_q_quadratic),
-        "injectivity_refined_bound": str(rep.injectivity.refined_bound),
-        "injectivity_refined_min_q": str(rep.injectivity.minimal_q_refined),
-        "surjectivity_bound": str(rep.surjectivity.bound),
-        "surjectivity_min_q": str(rep.surjectivity.minimal_q),
-        "galois_closure_genus_upper": str(rep.genus_upper),
-        "chebotarev_min_field": str(rep.chebotarev_min_field),
+        "injectivity_quadratic_bound": _decimal(rep.injectivity.quadratic_bound),
+        "injectivity_quadratic_min_q": _decimal(rep.injectivity.minimal_q_quadratic),
+        "injectivity_refined_bound": _decimal(rep.injectivity.refined_bound),
+        "injectivity_refined_min_q": _decimal(rep.injectivity.minimal_q_refined),
+        "surjectivity_bound": _decimal(rep.surjectivity.bound),
+        "surjectivity_min_q": _decimal(rep.surjectivity.minimal_q),
+        "galois_closure_genus_upper": _decimal(rep.genus_upper),
+        "chebotarev_min_field": _decimal(rep.chebotarev_min_field),
         "ramification_bound": rep.ramification_bound,
     }
     if q is not None:
@@ -657,17 +674,17 @@ def cmd_groups(args):
 
 def cmd_bounds(args):
     rep = threshold_report(args.n, args.gx, args.gy, args.gorder, args.ramified)
-    results = _threshold_json(rep, args.q)
+    r = results = _threshold_json(rep, args.q)
     lines = [
         f"degree n = {rep.n}, genus g_X = {rep.g_x}",
-        f"injectivity bound {rep.injectivity.quadratic_bound} -> minimal q "
-        f"{rep.injectivity.minimal_q_quadratic}",
-        f"refined injectivity bound {rep.injectivity.refined_bound} -> minimal q "
-        f"{rep.injectivity.minimal_q_refined}",
-        f"surjectivity bound {rep.surjectivity.bound} -> minimal q "
-        f"{rep.surjectivity.minimal_q}",
-        f"Galois-closure genus upper bound: {rep.genus_upper}",
-        f"Chebotarev minimal field size: {rep.chebotarev_min_field}",
+        f"injectivity bound {r['injectivity_quadratic_bound']} -> minimal q "
+        f"{r['injectivity_quadratic_min_q']}",
+        f"refined injectivity bound {r['injectivity_refined_bound']} -> minimal q "
+        f"{r['injectivity_refined_min_q']}",
+        f"surjectivity bound {r['surjectivity_bound']} -> minimal q "
+        f"{r['surjectivity_min_q']}",
+        f"Galois-closure genus upper bound: {r['galois_closure_genus_upper']}",
+        f"Chebotarev minimal field size: {r['chebotarev_min_field']}",
         f"ramification bound: {rep.ramification_bound}",
     ]
     return results, lines

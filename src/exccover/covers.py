@@ -11,7 +11,7 @@ from math import gcd
 
 from .config import ENUMERATION_CAP, over_cap
 from .errors import CapExceeded, MixedFields, NotSeparable, WildCase
-from .gf import Fel, embedding, extension, nth_power_solution_count
+from .gf import Fel, extension, nth_power_solution_count
 from .polyfactor import (
     UPoly,
     _resultant,
@@ -139,46 +139,6 @@ def _images(f, xs=None):
 
 def _point(field, code):
     return INFINITY if code is None else ProjPoint(Fel(field, code))
-
-
-def eval_map(f, point, field=None):
-    """Evaluate the map at a projective point, optionally over an
-    extension of its base field (coefficients are embedded first)."""
-    if field is not None and field is not f.field:
-        f = f.over(embedding(f.field, field))
-    if point.is_infinity:
-        return INFINITY
-    return _point(f.field, next(_images(f, (f.field.element(point.x).code,))))
-
-
-def mobius_postcompose(f, a, b, c, d):
-    """The map (a f + b) / (c f + d) for an invertible coefficient matrix."""
-    fld = f.field
-    a, b, c, d = (fld.element(v) for v in (a, b, c, d))
-    if (a * d - b * c).is_zero():
-        raise ValueError("matrix is singular")
-    num = f.num * a + f.den * b
-    den = f.num * c + f.den * d
-    return RationalMap(num, den)
-
-
-def mobius_precompose(f, a, b, c, d):
-    """The map f((a x + b) / (c x + d)) for an invertible matrix."""
-    fld = f.field
-    a, b, c, d = (fld.element(v) for v in (a, b, c, d))
-    if (a * d - b * c).is_zero():
-        raise ValueError("matrix is singular")
-    top = UPoly(fld, (b, a))
-    bot = UPoly(fld, (d, c))
-    n = f.degree
-
-    def substitute(poly):
-        acc = UPoly.zero(fld)
-        for i, coeff in enumerate(poly.coeffs):
-            acc = acc + (top**i) * (bot ** (n - i)) * coeff
-        return acc
-
-    return RationalMap(substitute(f.num), substitute(f.den))
 
 
 # ---------------------------------------------------------------------------

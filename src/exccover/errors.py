@@ -30,10 +30,6 @@ class NoEmbedding(ExcCoverError):
     outside the embedded subfield)."""
 
 
-class NotSquarefree(ExcCoverError):
-    """An operation required squarefree input."""
-
-
 class NotSeparable(ExcCoverError):
     """The map's derivative data vanishes identically."""
 

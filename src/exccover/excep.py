@@ -24,7 +24,6 @@ from .gf import Fel
 from .polyfactor import (
     BPoly,
     UPoly,
-    _ComponentFields,
     absolute_component_count,
     factor_bivariate,
 )
@@ -58,18 +57,28 @@ def fiber_product_poly(f):
 
 
 @dataclass(frozen=True)
-class FactorClassification(_ComponentFields):
+class FactorClassification:
     """One arithmetic factor of the fiber-product polynomial.
 
     ``points`` holds the factor's rational points, ``factor_points`` on
     the map's same-fiber rows, or None when q exceeds the enumeration
     cap; ``affine_points`` counts the finite ones among them.
+    ``components`` is the number c of absolutely irreducible components,
+    which is also the degree of their field of definition.
     """
 
     poly: BPoly
     multiplicity: int
     components: int
     points: tuple = None
+
+    @property
+    def absolutely_irreducible(self):
+        return self.components == 1
+
+    @property
+    def field_of_definition_degree(self):
+        return self.components
 
     @property
     def affine_points(self):

@@ -363,18 +363,15 @@ class Embedding:
         return Fel(self.src, _pack([row[-1] for row in aug[:cols]], p))
 
 
-def embedding(src, dst):
-    """The fixed embedding src -> dst: the one ``extension`` built when
-    dst is the interned field of its order."""
-    if src.p != dst.p or dst.k % src.k != 0:
-        raise NoEmbedding(f"no embedding {src!r} -> {dst!r}")
-    big, emb = extension(src, dst.k // src.k)
-    return emb if big is dst else Embedding(src, dst)
-
-
 def embed(e, target):
-    """Image of e under the fixed embedding of its field into target."""
-    return embedding(e.field, target)(e)
+    """Image of e under the fixed embedding of its field into target: the
+    one ``extension`` built when target is the interned field of its
+    order."""
+    src = e.field
+    if src.p != target.p or target.k % src.k != 0:
+        raise NoEmbedding(f"no embedding {src!r} -> {target!r}")
+    big, emb = extension(src, target.k // src.k)
+    return (emb if big is target else Embedding(src, target))(e)
 
 
 @cache

@@ -301,11 +301,6 @@ def coset_order(A, G, a):
     return order
 
 
-def quotient_is_cyclic(A, G):
-    index = A.order // G.order
-    return any(coset_order(A, G, a) == index for a in A.elements)
-
-
 def _common_orbits(A, G, action):
     """The A-orbits, in A's order, that are single G-orbits."""
     g_orbits = set(G.orbits(action))
@@ -357,17 +352,6 @@ def exceptionality_conditions(spec):
     cond3 = all(c <= 1 for c in fixes)
     cond4 = all(c >= 1 for c in fixes)
     return ExceptionalityConditions(cond1, cond2, cond3, cond4)
-
-
-def common_orbit_count(D, I, deg=None):
-    """Number of D-orbits on points that are single I-orbits.
-
-    With I trivial this is the number of fixed points of D."""
-    if deg is not None and (D.deg != deg or I.deg != deg):
-        raise ValueError("degree mismatch")
-    if not I <= D:
-        raise NotSubgroup("I must be a subgroup of D")
-    return len(_common_orbits(D, I, "points"))
 
 
 def cycle_type_histogram(spec):

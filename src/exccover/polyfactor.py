@@ -45,7 +45,6 @@ from .errors import (
     DegreeCapExceeded,
     DivisionByZero,
     MixedFields,
-    NotSquarefree,
 )
 from .gf import Fel, Field, extension, power, prime_factors
 
@@ -133,10 +132,6 @@ class _Dense:
     @classmethod
     def one(cls, field):
         return cls(field, (1,))
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
 
     # -- basic queries
 
@@ -251,13 +246,6 @@ class UPoly(_Dense):
     @classmethod
     def x(cls, field):
         return cls._of(field, (0, 1))
-
-    @classmethod
-    def from_roots(cls, field, roots):
-        out = cls.one(field)
-        for r in roots:
-            out = out * cls(field, (-field.element(r), 1))
-        return out
 
     # -- basic queries
 
@@ -1047,28 +1035,6 @@ def factor_bivariate(F):
 # ---------------------------------------------------------------------------
 # Geometric (absolute) irreducibility.
 
-
-class _ComponentFields:
-    """Report fields read off ``components``, the number c of absolutely
-    irreducible components: c is the degree of their field of definition."""
-
-    @property
-    def absolutely_irreducible(self):
-        return self.components == 1
-
-    @property
-    def field_of_definition_degree(self):
-        return self.components
-
-
-@dataclass(frozen=True)
-class GeometricFactor(_ComponentFields):
-    """Classification of one F_q-irreducible factor of a plane curve."""
-
-    factor: BPoly
-    components: int
-
-
 # Good F_q-lines scanned to bound a factor's component count before it
 # is factored over an extension.
 _BOUND_LINES = 4
@@ -1122,19 +1088,3 @@ def _component_count_below(G, bound, base_order):
                 factors[0][0], e // ell, G.field.order)
     return 1
 
-
-def geometric_components(F):
-    """Per-factor component counts for a squarefree bivariate polynomial,
-    by ``absolute_component_count`` on each F_q-irreducible factor.  The
-    number of components equals the degree of each component's field of
-    definition.
-    """
-    if F.is_zero():
-        raise DivisionByZero("geometric components of the zero polynomial")
-    cert = factor_bivariate(F)
-    if any(m > 1 for _, m in cert.factors):
-        raise NotSquarefree("input has a repeated factor")
-    out = []
-    for G, _ in cert.factors:
-        out.append(GeometricFactor(G, absolute_component_count(G)))
-    return tuple(out)

@@ -11,7 +11,6 @@ from exccover.bounds import (
     chebotarev_threshold,
     galois_closure_genus_bound,
     injectivity_thresholds,
-    is_prime_power,
     prime_power_decomposition,
     singular_weil_interval,
     surjectivity_threshold,
@@ -42,10 +41,10 @@ def test_prime_power_decomposition():
     assert prime_power_decomposition(8) == (2, 3)
     assert prime_power_decomposition(29) == (29, 1)
     assert prime_power_decomposition(169) == (13, 2)
-    for bad in (1, 12, 2501, 100):
+    assert prime_power_decomposition(243) == (3, 5)
+    for bad in (1, 12, 2501, 100, 90):
         with pytest.raises(NotPrimePower):
             prime_power_decomposition(bad)
-    assert is_prime_power(243) and not is_prime_power(90)
 
 
 def test_castelnuovo_examples():

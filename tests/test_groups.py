@@ -9,13 +9,11 @@ from exccover.groups import (
     Perm,
     PermGroup,
     all_subgroups_symmetric,
-    common_orbit_count,
     coset_order,
     cycle_type_histogram,
     cyclic_quotient_chains,
     exceptionality_conditions,
     fixed_point_identity,
-    quotient_is_cyclic,
 )
 
 
@@ -89,8 +87,9 @@ def test_normality_and_quotient():
     assert A3().is_normal_in(S3())
     H = PermGroup(3, [Perm.from_cycles(3, [(0, 1)])])
     assert not H.is_normal_in(S3())
-    assert quotient_is_cyclic(S3(), A3())
-    assert coset_order(S3(), A3(), Perm.from_cycles(3, [(0, 1)])) == 2
+    # a coset whose order is the index generates the quotient: A/G is cyclic
+    index = S3().order // A3().order
+    assert coset_order(S3(), A3(), Perm.from_cycles(3, [(0, 1)])) == index == 2
 
 
 def test_coset_spec_validation():
@@ -134,15 +133,18 @@ def test_exceptionality_conditions_requires_transitive():
 
 
 def test_common_orbit_count_examples():
-    D = PermGroup(3, [Perm.from_cycles(3, [(0, 1)])])
+    # fixed_point_identity's left side counts the ambient orbits on points
+    # that are single normal-subgroup orbits
+    swap = Perm.from_cycles(3, [(0, 1)])
+    D = PermGroup(3, [swap])
     trivial3 = PermGroup(3, [])
-    assert common_orbit_count(D, trivial3, 3) == 1  # only the fixed point 2
-    assert common_orbit_count(D, D, 3) == 2         # every orbit is common
-    D4 = PermGroup(4, [Perm.from_cycles(4, [(0, 1), (2, 3)])])
-    trivial4 = PermGroup(4, [])
-    assert common_orbit_count(D4, trivial4, 4) == 0
-    with pytest.raises(NotSubgroup):
-        common_orbit_count(trivial3, D, 3)
+    # only the fixed point 2
+    assert fixed_point_identity(CosetSpec(D, trivial3, swap)) == (1, 1)
+    # every orbit is common
+    assert fixed_point_identity(CosetSpec(D, D, Perm.identity(3))) == (2, 2)
+    swaps = Perm.from_cycles(4, [(0, 1), (2, 3)])
+    D4 = PermGroup(4, [swaps])
+    assert fixed_point_identity(CosetSpec(D4, PermGroup(4, []), swaps)) == (0, 0)
 
 
 def test_cycle_type_histogram_examples():

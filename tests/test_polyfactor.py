@@ -11,7 +11,6 @@ from exccover.errors import (
     DegreeCapExceeded,
     MixedFields,
     NotSeparable,
-    NotSquarefree,
 )
 from exccover.excep import (
     fiber_product_poly,
@@ -29,7 +28,6 @@ from exccover.polyfactor import (
     content_y,
     factor_bivariate,
     factor_univariate,
-    geometric_components,
     is_irreducible,
     pow_mod,
     roots,
@@ -42,6 +40,12 @@ from exccover.polyfactor import (
 
 def upoly(field, *coeffs):
     return UPoly(field, coeffs)
+
+
+def component_counts(F):
+    """(G, c) for each F_q-irreducible factor G of F, with c its number of
+    absolutely irreducible components."""
+    return [(G, absolute_component_count(G)) for G, _ in factor_bivariate(F).factors]
 
 
 def rand_upoly(field, max_deg, rng, nonzero=True):
@@ -205,7 +209,8 @@ def test_squarefree_decomposition_char_p():
 
 def test_roots_sorted_and_complete():
     F13 = make_field(13)
-    f = UPoly.from_roots(F13, [F13.element(v) for v in (2, 5, 5, 11)])
+    x = UPoly.x(F13)
+    f = (x - 2) * (x - 5) * (x - 5) * (x - 11)
     assert [r.to_int() for r in roots(f)] == [2, 5, 11]
     F4 = make_field(2, 2)
     x = UPoly.x(F4)
@@ -653,24 +658,10 @@ def test_oracle_rejects_known_reducible():
 
 def test_geometric_components_examples():
     F5 = make_field(5)
-    geo = geometric_components(conic(F5))
-    assert len(geo) == 1
-    assert geo[0].components == 2
-    assert not geo[0].absolutely_irreducible
-    assert geo[0].field_of_definition_degree == 2
-    F7 = make_field(7)
-    geo7 = geometric_components(conic(F7))
-    assert len(geo7) == 2
-    assert all(g.components == 1 and g.absolutely_irreducible for g in geo7)
+    assert [c for _, c in component_counts(conic(F5))] == [2]
+    assert [c for _, c in component_counts(conic(make_field(7)))] == [1, 1]
     line = biv(F5, [[0, 1], [1, 0]])
-    assert geometric_components(line)[0].components == 1
-
-
-def test_geometric_components_rejects_repeated_factors():
-    F5 = make_field(5)
-    line = biv(F5, [[0, 1], [1, 0]])
-    with pytest.raises(NotSquarefree):
-        geometric_components(line * line)
+    assert [c for _, c in component_counts(line)] == [1]
 
 
 def _norm_of_line(field, c):
@@ -694,9 +685,7 @@ def _norm_of_line(field, c):
 def test_geometric_components_on_norm_constructions(q_spec, c):
     field = make_field(*q_spec)
     G = _norm_of_line(field, c)
-    geo = geometric_components(G)
-    assert len(geo) == 1
-    assert geo[0].components == c
+    assert [count for _, count in component_counts(G)] == [c]
 
 
 def test_geometric_components_frobenius_consistency():
@@ -705,18 +694,16 @@ def test_geometric_components_frobenius_consistency():
     for q_spec, poly_builder in (((5, 1), conic), ((3, 1), lambda f: _norm_of_line(f, 3))):
         field = make_field(*q_spec)
         G = poly_builder(field)
-        geo = geometric_components(G)
-        for row in geo:
-            c = row.components
+        for factor, c in component_counts(G):
             if c == 1:
                 continue
             ext, emb = extension(field, c)
-            Ge = row.factor.map_coefficients(emb, ext)
+            Ge = factor.map_coefficients(emb, ext)
             cert = factor_bivariate(Ge)
             assert len(cert.factors) == c
             assert all(m == 1 for _, m in cert.factors)
             degs = {g.total_degree for g, _ in cert.factors}
-            assert degs == {row.factor.total_degree // c}
+            assert degs == {factor.total_degree // c}
             # Frobenius orbit closes up in exactly c steps
             parts = {g for g, _ in cert.factors}
             start = next(iter(parts))
@@ -753,7 +740,7 @@ def _component_count_oracle(G):
 def _dickson(field, n, a):
     # D_0 = 2, D_1 = x, D_n = x D_{n-1} - a D_{n-2}
     a = field.element(a)
-    prev, cur = UPoly.constant(field, field.element(2)), UPoly.x(field)
+    prev, cur = UPoly(field, (2,)), UPoly.x(field)
     for _ in range(n - 1):
         prev, cur = cur, cur * UPoly.x(field) - prev * a
     return cur
@@ -1210,13 +1197,12 @@ def test_recombination_finds_factors_split_on_the_line():
 
 
 def test_component_count_precondition_example():
-    # y^2 + 1 over F_9 splits into y - i and y + i; geometric_components
-    # counts each F_9-irreducible factor, one component apiece, whereas
-    # absolute_component_count(y^2 + 1) itself is outside its contract
+    # y^2 + 1 over F_9 splits into y - i and y + i; each F_9-irreducible
+    # factor has one component, whereas absolute_component_count(y^2 + 1)
+    # itself is outside its contract
     F9 = make_field(3, 2)
-    geo = geometric_components(BPoly(F9, [1, 0, 1]))
-    assert [(row.factor.deg_y, row.components) for row in geo] == [(1, 1), (1, 1)]
-    assert all(row.absolutely_irreducible for row in geo)
+    geo = component_counts(BPoly(F9, [1, 0, 1]))
+    assert [(G.deg_y, c) for G, c in geo] == [(1, 1), (1, 1)]
 
 
 def test_component_count_matches_oracle_on_tier1_families():
