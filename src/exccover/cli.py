@@ -623,8 +623,8 @@ def cmd_superelliptic(args):
 
 def cmd_groups(args):
     spec = load_group_spec(args.spec)
-    # the conditions run first: their qualifying elements are dropped
-    # before the coset is built, once, and kept on the spec
+    # the coset's cycle types are counted once and kept on the spec: the
+    # conditions (index <= 2), both identities and the histogram read them
     try:
         cond = exceptionality_conditions(spec)
         conditions = {

@@ -2,8 +2,8 @@
 
 Every group holds its explicit element set: the degrees in play are
 tiny, so element sets are simplest and keep every computation
-deterministic.  A group given by generators is built by breadth-first
-closure over the generators' image tuples.  The subgroup catalog of S_n
+deterministic.  A group given by generators is built by Dimino's coset
+closure, one ``itemgetter`` map per coset.  The subgroup catalog of S_n
 instead indexes the n! elements once, multiplies through one table and
 holds each subgroup as an int bitmask of element indices; it hands its
 groups out as ordinary ``PermGroup``s.  The composition convention is
@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .config import ENUMERATION_CAP, GROUP_CAP
 from .errors import CapExceeded, NotSubgroup, NotTransitive
@@ -138,32 +140,36 @@ def _perm(images):
 class PermGroup:
     """A permutation group materialized as its full element set."""
 
-    __slots__ = ("deg", "generators", "elements")
+    __slots__ = ("deg", "generators", "elements", "_orbits")
 
     def __init__(self, deg, generators):
         gens = tuple(generators)
         for g in gens:
             if g.deg != deg:
                 raise ValueError("generator degree mismatch")
-        # the closure runs on image tuples: c = g * a is c[s] = g[a[s]]
-        images = [g.images for g in gens]
-        elements = {tuple(range(deg))}
-        frontier = [g for g in images if g not in elements]
-        elements.update(frontier)
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in images:
-                    c = tuple([g[s] for s in a])
-                    if c not in elements:
-                        elements.add(c)
-                        new.append(c)
+        # Dimino on image tuples, largest-order generator first: the group
+        # H so far grows by right cosets H t = {h * t}, one itemgetter map
+        # each (t is never the identity, so deg >= 2 and maps give tuples)
+        images = [g.images for g in sorted(
+            gens, key=lambda g: math.lcm(*g.cycle_type()), reverse=True)]
+        identity = tuple(range(deg))
+        elements = {identity}
+        for i, g in enumerate(images):
+            if g in elements:
+                continue
+            H, reps = list(elements), [identity]
+            for r in reps:
+                for s in images[:i + 1]:
+                    t = tuple(map(r.__getitem__, s))
+                    if t not in elements:
+                        elements.update(map(itemgetter(*t), H))
+                        reps.append(t)
                         if len(elements) > GROUP_CAP:
                             raise CapExceeded("group closure exceeds the cap")
-            frontier = new
         self.deg = deg
         self.generators = gens
         self.elements = frozenset(map(_perm, elements))
+        self._orbits = {}
 
     @classmethod
     def _closed(cls, deg, generators, elements):
@@ -172,6 +178,7 @@ class PermGroup:
         G.deg = deg
         G.generators = tuple(generators)
         G.elements = frozenset(elements)
+        G._orbits = {}
         return G
 
     @classmethod
@@ -210,11 +217,17 @@ class PermGroup:
                    for h in self.generators or self.elements)
 
     def orbits(self, action="points"):
-        """Orbit partition of the point set or of ordered pairs."""
+        """Orbit partition of the point set or of ordered pairs, computed
+        once per action; each call returns a fresh list."""
+        if action in self._orbits:
+            return list(self._orbits[action])
         if action == "points":
             points = list(range(self.deg))
             act = lambda g, s: g(s)
         elif action == "ordered_pairs":
+            if self.deg ** 2 > ENUMERATION_CAP:
+                raise CapExceeded(f"the {self.deg}^2 ordered pairs exceed "
+                                  f"the enumeration cap {ENUMERATION_CAP}")
             points = [(s, t) for s in range(self.deg) for t in range(self.deg)]
             act = lambda g, st: (g(st[0]), g(st[1]))
         else:
@@ -238,18 +251,11 @@ class PermGroup:
                 frontier = nxt
             seen |= orbit
             out.append(frozenset(orbit))
-        return out
+        self._orbits[action] = out
+        return list(out)
 
     def is_transitive(self):
         return len(self.orbits("points")) == 1
-
-
-def _fixed_count(perm, action):
-    if action == "points":
-        return len(perm.fixed_points())
-    if action == "ordered_pairs":
-        return len(perm.fixed_points()) ** 2
-    raise ValueError(f"unknown action {action!r}")
 
 
 @dataclass(frozen=True)
@@ -270,25 +276,31 @@ class CosetSpec:
         if coset_order(A, G, a) != A.order // G.order:
             raise ValueError("the coset does not generate the quotient")
 
-    def coset(self):
-        """The generating coset rep * G, built once per spec."""
-        return self._coset
-
     @cached_property
     def _coset(self):
-        return tuple(self.rep * g for g in self.normal.elements)
+        """The generating coset as image tuples: G * rep, which is rep * G
+        since G is normal in A."""
+        elements = [g.images for g in self.normal.elements]
+        if self.rep.deg < 2:  # itemgetter of one index returns no tuple
+            return elements
+        return list(map(itemgetter(*self.rep.images), elements))
+
+    @cached_property
+    def _cycle_types(self):
+        """How many elements of the generating coset have each cycle type."""
+        return Counter(map(Perm.cycle_type, map(_perm, self._coset)))
 
     def qualifying_reps(self):
         """All a' in A whose coset generates A/G: the cosets rep^j G with
         j prime to the index, since rep generates the cyclic quotient."""
         index = self.ambient.order // self.normal.order
-        out = []
-        power = self.rep
-        for j in range(1, index + 1):
+        coset = self._coset
+        out = list(coset)
+        for j in range(2, index + 1):
+            coset = list(map(itemgetter(*self.rep.images), coset))
             if math.gcd(j, index) == 1:
-                out.extend(power * g for g in self.normal.elements)
-            power = power * self.rep
-        return out
+                out += coset
+        return list(map(_perm, out))
 
 
 def coset_order(A, G, a):
@@ -314,7 +326,9 @@ def fixed_point_identity(spec, action="points"):
     """
     A, G = spec.ambient, spec.normal
     lhs = len(_common_orbits(A, G, action))
-    total = sum(_fixed_count(alpha, action) for alpha in spec.coset())
+    power = 1 if action == "points" else 2  # orbits() refused the rest
+    total = sum(count * ct.count(1) ** power
+                for ct, count in spec._cycle_types.items())
     rhs = Fraction(total, G.order)
     return lhs, rhs
 
@@ -347,7 +361,10 @@ def exceptionality_conditions(spec):
         raise NotTransitive("the normal subgroup must be transitive on points")
     diagonal = frozenset((s, s) for s in range(A.deg))
     cond1 = _common_orbits(A, G, "ordered_pairs") == [diagonal]
-    fixes = [len(x.fixed_points()) for x in spec.qualifying_reps()]
+    if A.order <= 2 * G.order:  # only the generating coset qualifies
+        fixes = [ct.count(1) for ct in spec._cycle_types]
+    else:
+        fixes = [len(x.fixed_points()) for x in spec.qualifying_reps()]
     cond2 = all(c == 1 for c in fixes)
     cond3 = all(c <= 1 for c in fixes)
     cond4 = all(c >= 1 for c in fixes)
@@ -356,12 +373,9 @@ def exceptionality_conditions(spec):
 
 def cycle_type_histogram(spec):
     """Exact cycle-type frequencies over the generating coset."""
-    counts = {}
-    for alpha in spec.coset():
-        ct = alpha.cycle_type()
-        counts[ct] = counts.get(ct, 0) + 1
     total = spec.normal.order
-    return {ct: Fraction(c, total) for ct, c in sorted(counts.items())}
+    return {ct: Fraction(c, total)
+            for ct, c in sorted(spec._cycle_types.items())}
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,15 @@ PINNED_JSON = [
         ["groups", "--spec", "spec.grp"],
         "8e0f62c65541d7affba99efa7a0c0ca93025fe6e2edf81498bf7f47ddb6f437b",
         id="groups-affine-f5"),
+    # index 2: S_6 over A_6, the benchmark's commonest spec, and S_7 over A_7
+    pytest.param(
+        ["groups", "--spec", "s6.grp"],
+        "a5f7fefcf5eab27511e394b9d344e30a3f658d6442b00821f0f0640989cbaf88",
+        id="groups-s6-a6"),
+    pytest.param(
+        ["groups", "--spec", "s7.grp"],
+        "59f3a5e2c092df832a460d6894a8e2bd53157b8f75276ab0e4f506beb14d3f8d",
+        id="groups-s7-a7"),
     pytest.param(
         ["examples"],
         "0275d4ed9d8a75661b37757034c639d605ae9e4ed38d3022595d4188a902aab2",
@@ -201,6 +210,13 @@ def test_json_bytes_pinned(argv, digest, tmp_path, monkeypatch, capsys):
     (tmp_path / "spec.grp").write_text(
         "[deg]\n5\n[A]\n(0 1 2 3 4)\n(1 2 4 3)\n"
         "[G]\n(0 1 2 3 4)\n[a]\n(1 2 4 3)\n")
+    (tmp_path / "s6.grp").write_text(
+        "[deg]\n6\n[A]\n(0 1)\n(0 1 2 3 4 5)\n"
+        "[G]\n(0 1 2)\n(0 1 3)\n(0 1 4)\n(0 1 5)\n[a]\n(0 4 2)(1 5)\n")
+    (tmp_path / "s7.grp").write_text(
+        "[deg]\n7\n[A]\n(0 1)\n(0 1 2 3 4 5 6)\n"
+        "[G]\n(0 1 2)\n(0 1 3)\n(0 1 4)\n(0 1 5)\n(0 1 6)\n"
+        "[a]\n(0 5 3 1)(2 6 4)\n")
     code, out, _ = run(capsys, ["--json"] + argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -461,6 +477,20 @@ def test_groups_subcommand(tmp_path, capsys):
     assert res["fixed_point_identity"]["points"]["equal"] is True
     assert res["fixed_point_identity"]["ordered_pairs"]["equal"] is True
     assert res["conditions"]["agree"] is True
+
+
+@pytest.mark.parametrize("deg,code", [(300, 0), (2049, 2)])
+def test_groups_spec_refuses_ordered_pairs_over_the_cap(tmp_path, capsys,
+                                                        deg, code):
+    # 2049^2 ordered pairs exceed the enumeration cap 2^22; none is built
+    spec = tmp_path / "swap.grp"
+    spec.write_text(f"[deg]\n{deg}\n[A]\n(0 1)\n[G]\n(0 1)\n[a]\n()\n")
+    start = time.perf_counter()
+    got, out, err = run(capsys, ["--json", "groups", "--spec", str(spec)])
+    assert got == code
+    if code == 2:
+        assert time.perf_counter() - start < 1.0
+        assert out == "" and "enumeration cap" in err
 
 
 def test_groups_spec_accepts_spaces_between_cycles(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -81,6 +83,21 @@ def test_orbits_of_the_trivial_group_build_one_identity(monkeypatch):
     assert len(orbits) == 90_000 and all(len(o) == 1 for o in orbits)
     assert set().union(*orbits) == {(s, t) for s in range(300)
                                      for t in range(300)}
+
+
+def test_orbits_repeat_as_equal_fresh_lists():
+    for action in ("points", "ordered_pairs"):
+        G = S3()
+        first = G.orbits(action)
+        assert G.orbits(action) == first
+        first.append(frozenset({"junk"}))
+        first.pop(0)
+        again = G.orbits(action)
+        assert again != first and again == G.orbits(action)
+        assert sorted(map(len, again)) == ([3] if action == "points"
+                                           else [3, 6])
+    with pytest.raises(ValueError):
+        S3().orbits("unordered_pairs")
 
 
 def test_normality_and_quotient():
@@ -282,3 +299,97 @@ def test_catalog_refuses_table_over_enumeration_cap():
     with pytest.raises(CapExceeded):
         all_subgroups_symmetric(7)
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Dimino's closure against breadth-first closure, and the cached coset
+# walk against per-element Perm products.
+
+
+def _bfs_closure(deg, generators):
+    """Image tuples of the group generated, by breadth-first closure."""
+    images = [g.images for g in generators]
+    elements = {tuple(range(deg))}
+    frontier = [g for g in images if g not in elements]
+    elements.update(frontier)
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in images:
+                c = tuple([g[s] for s in a])
+                if c not in elements:
+                    elements.add(c)
+                    new.append(c)
+        frontier = new
+    return elements
+
+
+def _closure_cases():
+    cases = [(deg, []) for deg in range(1, 4)]
+    cases += [(1, [Perm.identity(1)] * 2), (2, [Perm.identity(2)]),
+              (2, [Perm.from_cycles(2, [(0, 1)])] * 3),
+              (4, [Perm.identity(4), Perm.from_cycles(4, [(0, 1, 2)])] * 2)]
+    # the generating sets the benchmark's S_7 and A_7 specs use
+    cases.append((7, [Perm.from_cycles(7, [(0, 1)]),
+                      Perm.from_cycles(7, [tuple(range(7))])]))
+    cases.append((7, [Perm.from_cycles(7, [(0, 1, k)]) for k in range(2, 7)]))
+    rng = random.Random(23)
+    for deg in range(1, 8):
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randrange(4)):
+                images = list(range(deg))
+                rng.shuffle(images)
+                gens.append(Perm(images))
+            cases.append((deg, gens))
+    return cases
+
+
+@pytest.mark.parametrize("deg,gens", _closure_cases())
+def test_closure_matches_breadth_first_oracle(deg, gens):
+    G = PermGroup(deg, gens)
+    assert {p.images for p in G.elements} == _bfs_closure(deg, gens)
+    assert G.generators == tuple(gens)
+
+
+def _coset_oracle(A, G, a):
+    """(fixed-point sums on points and pairs, cycle-type counts,
+    qualifying elements and their fixed-point counts), element by
+    element from Perm products."""
+    coset = [a * g for g in G.elements]
+    fixes = [len(x.fixed_points()) for x in coset]
+    types = Counter(x.cycle_type() for x in coset)
+    index = A.order // G.order
+    qualifying = {x for x in A.elements if coset_order(A, G, x) == index}
+    return (sum(fixes), sum(f * f for f in fixes), types, qualifying,
+            [len(x.fixed_points()) for x in qualifying])
+
+
+def _pair_orbit(group, s, t):
+    return frozenset((g(s), g(t)) for g in group.elements)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coset_walk_matches_perm_product_oracle(n):
+    for A, G, reps in cyclic_quotient_chains(n):
+        transitive = G.is_transitive()
+        # condition 1 from orbits of all elements, not of generators
+        diagonal_only = all(_pair_orbit(A, s, t) != _pair_orbit(G, s, t)
+                            for s in range(n) for t in range(n) if s != t)
+        for a in reps:
+            spec = CosetSpec(A, G, a)
+            points, pairs, types, qualifying, fixes = _coset_oracle(A, G, a)
+            assert fixed_point_identity(spec, "points")[1] \
+                == Fraction(points, G.order)
+            assert fixed_point_identity(spec, "ordered_pairs")[1] \
+                == Fraction(pairs, G.order)
+            assert cycle_type_histogram(spec) == {
+                ct: Fraction(c, G.order) for ct, c in types.items()}
+            assert set(spec.qualifying_reps()) == qualifying
+            if transitive:
+                cond = exceptionality_conditions(spec)
+                assert (cond.diagonal_only_common_orbit,
+                        cond.all_unique_fixed_point, cond.all_at_most_one,
+                        cond.all_at_least_one) == (
+                    diagonal_only, all(f == 1 for f in fixes),
+                    all(f <= 1 for f in fixes), all(f >= 1 for f in fixes))
