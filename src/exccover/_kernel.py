@@ -10,6 +10,7 @@ fields compute in the polynomial basis.
 """
 
 from array import array
+from operator import xor
 
 from .errors import DivisionByZero
 from .gf import _digits, _pack, power, prime_factors
@@ -76,6 +77,8 @@ def basis_ops(p, modulus):
         c = pow(r1[0], -1, p)
         return _pack([x * c % p for x in s1], p)
 
+    if p == 2:  # a code is its own vector of coefficient bits
+        return xor, xor, lambda a: a, mul, inv
     return (lambda a, b: gather(spread(a) + spread(b)),
             lambda a, b: gather(spread(a) + (p - 1) * spread(b)),
             lambda a: gather((p - 1) * spread(a)), mul, inv)

@@ -5,9 +5,11 @@ tiny, so element sets are simplest and keep every computation
 deterministic.  A group given by generators is built by Dimino's coset
 closure, one ``itemgetter`` map per coset.  The subgroup catalog of S_n
 instead indexes the n! elements once, multiplies through one table and
-holds each subgroup as an int bitmask of element indices; it hands its
-groups out as ordinary ``PermGroup``s.  The composition convention is
-fixed once: (sigma * tau)(s) = sigma(tau(s)), right factor first.
+holds each subgroup as an int bitmask of element indices.  It extends
+one subgroup per conjugacy class by cyclic subgroups, adds the
+conjugates through S_n's two generators and hands its groups out as
+ordinary ``PermGroup``s.  The composition convention is fixed once:
+(sigma * tau)(s) = sigma(tau(s)), right factor first.
 """
 
 from __future__ import annotations
@@ -86,19 +88,7 @@ class Perm:
 
     def cycle_type(self):
         """Sorted (ascending) partition of the degree by cycle lengths."""
-        seen = [False] * self.deg
-        lengths = []
-        for s in range(self.deg):
-            if seen[s]:
-                continue
-            length = 0
-            t = s
-            while not seen[t]:
-                seen[t] = True
-                t = self.images[t]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths))
+        return _cycle_type(self.images)
 
     def cycles(self):
         """Nontrivial cycles in canonical order."""
@@ -128,6 +118,23 @@ class Perm:
         if not cyc:
             return "()"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
+
+
+def _cycle_type(images):
+    """Sorted (ascending) cycle lengths of the permutation ``images``."""
+    seen = [False] * len(images)
+    lengths = []
+    for s in range(len(images)):
+        if seen[s]:
+            continue
+        length = 0
+        t = s
+        while not seen[t]:
+            seen[t] = True
+            t = images[t]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 def _perm(images):
@@ -288,7 +295,7 @@ class CosetSpec:
     @cached_property
     def _cycle_types(self):
         """How many elements of the generating coset have each cycle type."""
-        return Counter(map(Perm.cycle_type, map(_perm, self._coset)))
+        return Counter(map(_cycle_type, self._coset))
 
     def qualifying_reps(self):
         """All a' in A whose coset generates A/G: the cosets rep^j G with
@@ -429,16 +436,18 @@ def all_subgroups_symmetric(n):
     """Every subgroup of the symmetric group on n points (not just up to
     conjugacy), sorted by order and then by sorted element images.
 
-    Neubüser's cyclic-extension method: starting from the trivial group,
-    each subgroup found is joined with one generator of every cyclic
-    subgroup it does not contain, until no join is new.  The (n!)^2
-    multiplication table must fit the enumeration cap, so n <= 6."""
+    Neubüser's cyclic-extension method up to conjugacy: from the trivial
+    group on, the first subgroup found in each conjugacy class is joined
+    with one generator of every cyclic subgroup it does not contain; a
+    new join brings its class, conjugated by (0 1) and (0 1 .. n-1).  If
+    H = x H_0 x^-1, then x^-1 <H, C> x = <H_0, x^-1 C x>, so no class is
+    missed.  The (n!)^2 table must fit the enumeration cap: n <= 6."""
     size = math.factorial(n)
     if size * size > ENUMERATION_CAP:
         raise CapExceeded(
             f"the multiplication table of S_{n} has {size}^2 entries, "
             f"over the enumeration cap {ENUMERATION_CAP}")
-    perms, _, mul = _symmetric_table(n)
+    perms, index, mul = _symmetric_table(n)
     cyclic = {}  # mask of <g> -> the first g generating it
     for g in range(size):
         mask, power = 1, g
@@ -446,6 +455,10 @@ def all_subgroups_symmetric(n):
             mask |= 1 << power
             power = mul[power][g]
         cyclic.setdefault(mask, g)
+    # g -> x^-1 g x on element indices, for x = (0 1) and x = (0 1 .. n-1)
+    xs = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    conjugations = [[mul[xi][mul[g][x]] for g in range(size)]
+                    for x in map(index.get, xs) for xi in [mul[x].index(0)]]
     known = {1: ()}  # subgroup mask -> indices of its generators
     frontier = [1]
     while frontier:
@@ -459,6 +472,13 @@ def all_subgroups_symmetric(n):
                 if K not in known:
                     known[K] = gens
                     new.append(K)
+                    conjugates = [K]
+                    for L in conjugates:
+                        for conj in conjugations:
+                            M = sum(1 << conj[h] for h in _bits(L))
+                            if M not in known:
+                                known[M] = tuple(conj[h] for h in known[L])
+                                conjugates.append(M)
         frontier = new
     order = sorted(known, key=lambda K: (K.bit_count(), _bits(K)))
     return tuple(PermGroup._closed(n, [perms[i] for i in known[K]],

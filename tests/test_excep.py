@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from exccover.cli import bpoly_to_str
 from exccover.errors import CapExceeded, NotSeparable, PreconditionFailed
 from exccover.gf import is_prime, make_field
 from exccover.polyfactor import BPoly, UPoly, bpoly_div_exact
@@ -434,3 +435,25 @@ def test_quintic_twist_family_defaults():
         f = quintic_twist_map(F)
         g = quintic_twist_map(F, i, b)
         assert f.num == g.num and f.den == g.den
+
+
+def test_characteristic_two_above_the_table_bound():
+    # F_{2^13} computes in the polynomial basis; the audit and the verdict
+    # of an additive map and of the Dickson polynomial D_5(x, 1), which
+    # is exceptional as gcd(5, 2^26 - 1) = 1, are pinned
+    F = make_field(2, 13)
+    one = UPoly(F, (1,))
+    cases = [((0, 1, 1), {0: 4096, 1: 1, 2: 4096}, False, 1,
+              [("y+x+1", 1, 1, 8193)]),
+             ((0, 1, 0, 1, 0, 1), {1: 8193}, True, 2,
+              [("y^4+x*y^3+x^2*y^2+x^3*y+x^4+y^2+x*y+x^2+1", 1, 2, 1)])]
+    for coeffs, histogram, exceptional, lcm_k, rows in cases:
+        f = RationalMap(UPoly(F, coeffs), one)
+        audit = audit_rational_map(f, 1)
+        assert audit.histogram() == histogram
+        assert audit.bijective == exceptional
+        report = decide_exceptional(f)
+        assert report.exceptional == exceptional
+        assert report.component_definition_lcm == lcm_k
+        assert [(bpoly_to_str(row.poly), row.multiplicity, row.components,
+                 len(row.points)) for row in report.factors] == rows

@@ -400,6 +400,28 @@ def test_basis_kernel_above_the_table_bound():
     assert F.log(F.pow(g, 4321)) == 4321
 
 
+def _coefficientwise(F, a, b, sign):
+    """The code of a + sign * b, residue by residue mod p, as spreading
+    the codes into slots, adding and gathering computes it."""
+    p = F.p
+    return sum((a // p**i + sign * (b // p**i)) % p * p**i
+               for i in range(F.k))
+
+
+def test_characteristic_two_basis_kernel_adds_by_xor():
+    # above the bound F_{2^13} adds codes as bit vectors; the results
+    # must be those of residue-by-residue addition mod 2
+    F = make_field(2, 13)
+    assert F.order > _kernel.TABLE_ORDER
+    add, sub, neg, _, _ = _basis(F)
+    rng = random.Random(2005)
+    for _ in range(2000):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        assert F.add(a, b) == add(a, b) == _coefficientwise(F, a, b, 1)
+        assert F.sub(a, b) == sub(a, b) == _coefficientwise(F, a, b, -1)
+        assert F.neg(a) == neg(a) == _coefficientwise(F, 0, a, -1)
+
+
 def test_nth_power_count_by_log_matches_by_power():
     # in a table field an element is an n-th power exactly when
     # gcd(n, Q - 1) divides its log; the count must agree with the

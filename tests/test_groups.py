@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from exccover import groups
 from exccover.errors import CapExceeded, NotSubgroup, NotTransitive
 from exccover.groups import (
     CosetSpec,
     Perm,
     PermGroup,
+    _bits,
+    _join,
+    _symmetric_table,
     all_subgroups_symmetric,
     coset_order,
     cycle_type_histogram,
@@ -291,6 +295,92 @@ def test_catalog_closed_under_conjugation():
             s_inv = s.inverse()
             for E in catalog:
                 assert frozenset(s * g * s_inv for g in E) in catalog
+
+
+def _join_catalog(n):
+    """Element image lists of every subgroup of S_n, sorted as the catalog
+    sorts them, found by joining every subgroup found, not one per
+    conjugacy class, with one generator of every cyclic subgroup it does
+    not contain, until no join is new."""
+    perms, _, mul = _symmetric_table(n)
+    cyclic = {}
+    for g in range(len(perms)):
+        mask, power = 1, g
+        while power:
+            mask |= 1 << power
+            power = mul[power][g]
+        cyclic.setdefault(mask, g)
+    known = {1: ()}
+    frontier = [1]
+    while frontier:
+        new = []
+        for H in frontier:
+            for C, g in cyclic.items():
+                if C & ~H:
+                    gens = known[H] + (g,)
+                    K = _join(H, gens, mul)
+                    if K not in known:
+                        known[K] = gens
+                        new.append(K)
+        frontier = new
+    return sorted(([perms[i].images for i in _bits(K)] for K in known),
+                  key=lambda images: (len(images), images))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_catalog_matches_join_every_subgroup_oracle(n):
+    # test_catalog_generators_regenerate_each_group checks the generators
+    assert [sorted(p.images for p in G.elements)
+            for G in all_subgroups_symmetric(n)] == _join_catalog(n)
+
+
+def _conjugacy_classes(n, catalog):
+    """Orbits of the element sets in ``catalog`` under conjugation by the
+    generators of S_n; fails unless the catalog is closed under it."""
+    gens = [(s, s.inverse()) for s in PermGroup.symmetric(n).generators]
+    seen, classes = set(), 0
+    for E in catalog:
+        if E in seen:
+            continue
+        classes += 1
+        seen.add(E)
+        orbit = [E]
+        for D in orbit:
+            for s, s_inv in gens:
+                F = frozenset(s * g * s_inv for g in D)
+                assert F in catalog
+                if F not in seen:
+                    seen.add(F)
+                    orbit.append(F)
+    return classes
+
+
+def test_catalog_of_s6_and_conjugacy_class_counts():
+    # OEIS A000638: conjugacy classes of subgroups of S_n
+    counts = []
+    for n in range(1, 7):
+        catalog = [G.elements for G in all_subgroups_symmetric(n)]
+        assert len(set(catalog)) == len(catalog)
+        counts.append(_conjugacy_classes(n, set(catalog)))
+    assert len(catalog) == 1455
+    assert counts == [1, 2, 4, 11, 19, 56]
+
+
+def test_catalog_extends_one_subgroup_per_conjugacy_class(monkeypatch):
+    # every class but that of S_n itself, which contains every cyclic
+    # subgroup, is joined from exactly one of its subgroups
+    extended = set()
+
+    def spy(H, gens, mul):
+        extended.add(H)
+        return _join(H, gens, mul)
+
+    monkeypatch.setattr(groups, "_join", spy)
+    for n, classes in enumerate([1, 2, 4, 11, 19], start=1):
+        extended.clear()
+        all_subgroups_symmetric.cache_clear()
+        all_subgroups_symmetric(n)
+        assert len(extended) == classes - 1
 
 
 def test_catalog_refuses_table_over_enumeration_cap():
