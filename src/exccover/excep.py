@@ -273,11 +273,13 @@ def quintic_twist_map(field, i=None, b=None):
         i = field.element(i)
         if not (i * i + 1).is_zero():
             raise ValueError("i must square to -1")
+    nonsquare = lambda z: (not z.is_zero()
+                           and (z ** ((field.order - 1) // 2)).to_int() != 1)
     if b is None:
-        b = next(z for z in field.elements()
-                 if not z.is_zero()
-                 and (z ** ((field.order - 1) // 2)).to_int() != 1)
+        b = next(filter(nonsquare, field.elements()))
     else:
         b = field.element(b)
+        if not nonsquare(b):
+            raise ValueError("b must be a nonzero nonsquare")
     a = b * (i * 4 - 3)
     return quintic_pair_map(field, a, b)

@@ -1,15 +1,18 @@
 """Permutation-group machinery for the orbit and fixed-point criteria.
 
-Every group holds its explicit element set: the degrees in play are
-tiny, so element sets are simplest and keep every computation
-deterministic.  A group given by generators is built by Dimino's coset
-closure, one ``itemgetter`` map per coset.  The subgroup catalog of S_n
-instead indexes the n! elements once, multiplies through one table and
-holds each subgroup as an int bitmask of element indices.  It extends
-one subgroup per conjugacy class by cyclic subgroups, adds the
-conjugates through S_n's two generators and hands its groups out as
-ordinary ``PermGroup``s.  The composition convention is fixed once:
-(sigma * tau)(s) = sigma(tau(s)), right factor first.
+A permutation is its image tuple: ``Perm`` subclasses ``tuple``, so it
+hashes and compares as the tuple, and the closures below build Perms
+straight from the tuples C code returns.  Every group holds its explicit
+element set: the degrees in play are tiny, so element sets are simplest
+and keep every computation deterministic.  A group given by generators
+is built by Dimino's coset closure, one ``itemgetter`` map per coset.
+The subgroup catalog of S_n instead indexes the n! elements once,
+multiplies through one table and holds each subgroup as an int bitmask
+of element indices.  It extends one subgroup per conjugacy class by
+cyclic subgroups, adds the conjugates through S_n's two generators and
+hands its groups out as ordinary ``PermGroup``s.  The composition
+convention is fixed once: (sigma * tau)(s) = sigma(tau(s)), right factor
+first.
 """
 
 from __future__ import annotations
@@ -19,23 +22,24 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 
 from .config import ENUMERATION_CAP, GROUP_CAP
 from .errors import CapExceeded, NotSubgroup, NotTransitive
 
 
-class Perm:
-    """A permutation of {0, .., deg-1} given by its image tuple."""
+class Perm(tuple):
+    """A permutation of {0, .., n-1} as its image tuple; it hashes and
+    compares as that tuple."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+    def __new__(cls, images):
+        perm = tuple.__new__(cls, images)
+        if sorted(perm) != list(range(len(perm))):
             raise ValueError("images do not form a permutation")
-        self.images = images
+        return perm
 
     @classmethod
     def identity(cls, deg):
@@ -57,44 +61,53 @@ class Perm:
                 images[s] = cycle[(i + 1) % len(cycle)]
         return cls(images)
 
-    @property
-    def deg(self):
-        return len(self.images)
-
-    def __call__(self, s):
-        return self.images[s]
+    __call__ = tuple.__getitem__
 
     def __mul__(self, other):
         if not isinstance(other, Perm):
             return NotImplemented
-        a, b = self.images, other.images
-        if len(a) != len(b):
+        if len(self) != len(other):
             raise ValueError("degrees differ")
         # apply the right factor first; a composition of two permutations
-        # is one, so the result skips the check in __init__
-        return _perm(tuple([a[s] for s in b]))
+        # is one, so the result skips the check in __new__
+        return _perm(map(self.__getitem__, other))
+
+    __rmul__ = None  # an int times a Perm is no tuple repetition
 
     def inverse(self):
-        out = [0] * self.deg
-        for s, t in enumerate(self.images):
+        out = [0] * len(self)
+        for s, t in enumerate(self):
             out[t] = s
-        return _perm(tuple(out))
+        return _perm(out)
 
     def is_identity(self):
-        return all(s == t for s, t in enumerate(self.images))
+        return all(s == t for s, t in enumerate(self))
 
     def fixed_points(self):
-        return [s for s, t in enumerate(self.images) if s == t]
+        return [s for s, t in enumerate(self) if s == t]
 
     def cycle_type(self):
-        """Sorted (ascending) partition of the degree by cycle lengths."""
-        return _cycle_type(self.images)
+        """Sorted (ascending) partition of the degree by cycle lengths; it
+        also reads a plain image tuple."""
+        seen = [False] * len(self)
+        lengths = []
+        for s in range(len(self)):
+            if seen[s]:
+                continue
+            length = 0
+            t = s
+            while not seen[t]:
+                seen[t] = True
+                t = self[t]
+                length += 1
+            lengths.append(length)
+        return tuple(sorted(lengths))
 
     def cycles(self):
         """Nontrivial cycles in canonical order."""
-        seen = [False] * self.deg
+        seen = [False] * len(self)
         out = []
-        for s in range(self.deg):
+        for s in range(len(self)):
             if seen[s]:
                 continue
             cyc = []
@@ -102,16 +115,10 @@ class Perm:
             while not seen[t]:
                 seen[t] = True
                 cyc.append(t)
-                t = self.images[t]
+                t = self[t]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     def __repr__(self):
         cyc = self.cycles()
@@ -120,28 +127,8 @@ class Perm:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
-def _cycle_type(images):
-    """Sorted (ascending) cycle lengths of the permutation ``images``."""
-    seen = [False] * len(images)
-    lengths = []
-    for s in range(len(images)):
-        if seen[s]:
-            continue
-        length = 0
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            t = images[t]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
-
-
-def _perm(images):
-    """A Perm from an image tuple already known to be a permutation."""
-    p = object.__new__(Perm)
-    p.images = images
-    return p
+# a Perm from images already known to form a permutation, built in C
+_perm = partial(tuple.__new__, Perm)
 
 
 class PermGroup:
@@ -152,30 +139,30 @@ class PermGroup:
     def __init__(self, deg, generators):
         gens = tuple(generators)
         for g in gens:
-            if g.deg != deg:
+            if len(g) != deg:
                 raise ValueError("generator degree mismatch")
-        # Dimino on image tuples, largest-order generator first: the group
-        # H so far grows by right cosets H t = {h * t}, one itemgetter map
-        # each (t is never the identity, so deg >= 2 and maps give tuples)
-        images = [g.images for g in sorted(
-            gens, key=lambda g: math.lcm(*g.cycle_type()), reverse=True)]
-        identity = tuple(range(deg))
+        # Dimino, largest-order generator first: the group H so far grows
+        # by right cosets H t = {h * t}, one itemgetter map each (t is never
+        # the identity, so deg >= 2 and maps give tuples)
+        ranked = sorted(gens, key=lambda g: math.lcm(*g.cycle_type()),
+                        reverse=True)
+        identity = _perm(range(deg))
         elements = {identity}
-        for i, g in enumerate(images):
+        for i, g in enumerate(ranked):
             if g in elements:
                 continue
             H, reps = list(elements), [identity]
             for r in reps:
-                for s in images[:i + 1]:
+                for s in ranked[:i + 1]:
                     t = tuple(map(r.__getitem__, s))
                     if t not in elements:
-                        elements.update(map(itemgetter(*t), H))
+                        elements.update(map(_perm, map(itemgetter(*t), H)))
                         reps.append(t)
                         if len(elements) > GROUP_CAP:
                             raise CapExceeded("group closure exceeds the cap")
         self.deg = deg
         self.generators = gens
-        self.elements = frozenset(map(_perm, elements))
+        self.elements = frozenset(elements)
         self._orbits = {}
 
     @classmethod
@@ -230,13 +217,13 @@ class PermGroup:
             return list(self._orbits[action])
         if action == "points":
             points = list(range(self.deg))
-            act = lambda g, s: g(s)
+            act = lambda g, s: g[s]
         elif action == "ordered_pairs":
             if self.deg ** 2 > ENUMERATION_CAP:
                 raise CapExceeded(f"the {self.deg}^2 ordered pairs exceed "
                                   f"the enumeration cap {ENUMERATION_CAP}")
             points = [(s, t) for s in range(self.deg) for t in range(self.deg)]
-            act = lambda g, st: (g(st[0]), g(st[1]))
+            act = lambda g, st: (g[st[0]], g[st[1]])
         else:
             raise ValueError(f"unknown action {action!r}")
         gens = self.generators or [Perm.identity(self.deg)]
@@ -285,17 +272,16 @@ class CosetSpec:
 
     @cached_property
     def _coset(self):
-        """The generating coset as image tuples: G * rep, which is rep * G
-        since G is normal in A."""
-        elements = [g.images for g in self.normal.elements]
-        if self.rep.deg < 2:  # itemgetter of one index returns no tuple
-            return elements
-        return list(map(itemgetter(*self.rep.images), elements))
+        """The generating coset as plain image tuples: G * rep, which is
+        rep * G since G is normal in A."""
+        if len(self.rep) < 2:  # itemgetter of one index returns no tuple
+            return list(self.normal.elements)
+        return list(map(itemgetter(*self.rep), self.normal.elements))
 
     @cached_property
     def _cycle_types(self):
         """How many elements of the generating coset have each cycle type."""
-        return Counter(map(_cycle_type, self._coset))
+        return Counter(map(Perm.cycle_type, self._coset))
 
     def qualifying_reps(self):
         """All a' in A whose coset generates A/G: the cosets rep^j G with
@@ -304,7 +290,7 @@ class CosetSpec:
         coset = self._coset
         out = list(coset)
         for j in range(2, index + 1):
-            coset = list(map(itemgetter(*self.rep.images), coset))
+            coset = list(map(itemgetter(*self.rep), coset))
             if math.gcd(j, index) == 1:
                 out += coset
         return list(map(_perm, out))
@@ -354,10 +340,6 @@ class ExceptionalityConditions:
         return (self.diagonal_only_common_orbit == self.all_unique_fixed_point
                 == self.all_at_most_one == self.all_at_least_one)
 
-    @property
-    def holds(self):
-        return self.diagonal_only_common_orbit
-
 
 def exceptionality_conditions(spec):
     """Evaluate the four orbit/fixed-point conditions by enumeration.
@@ -394,13 +376,11 @@ def cycle_type_histogram(spec):
 
 def _symmetric_table(n):
     """(perms, index, mul): the elements of S_n in sorted image order,
-    the index of each image tuple, and mul[i][j], the index of
-    perms[i] * perms[j]."""
-    images = list(itertools.permutations(range(n)))
-    index = {im: i for i, im in enumerate(images)}
-    mul = [[index[tuple([a[s] for s in b])] for b in images]
-           for a in images]
-    return [_perm(im) for im in images], index, mul
+    the index of each, and mul[i][j], the index of perms[i] * perms[j]."""
+    perms = list(map(_perm, itertools.permutations(range(n))))
+    index = {p: i for i, p in enumerate(perms)}
+    mul = [[index[tuple([a[s] for s in b])] for b in perms] for a in perms]
+    return perms, index, mul
 
 
 def _bits(mask):
@@ -495,8 +475,8 @@ def cyclic_quotient_chains(n):
     subgroups = all_subgroups_symmetric(n)
     perms, index, mul = _symmetric_table(n)
     inv = [row.index(0) for row in mul]
-    masks = [sum(1 << index[p.images] for p in G.elements) for G in subgroups]
-    gens = [[index[p.images] for p in G.generators] for G in subgroups]
+    masks = [sum(1 << index[p] for p in G.elements) for G in subgroups]
+    gens = [[index[p] for p in G.generators] for G in subgroups]
     chains = []
     for A, A_mask, A_gens in zip(subgroups, masks, gens):
         for G, G_mask, G_gens in zip(subgroups, masks, gens):

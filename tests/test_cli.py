@@ -104,7 +104,7 @@ def test_parse_cycles():
     p = parse_cycles("(0 1 2)(3 4)", 5)
     assert p.cycle_type() == (2, 3)
     assert parse_cycles("()", 3).is_identity()
-    assert parse_cycles("(0, 1)", 2).images == (1, 0)
+    assert tuple(parse_cycles("(0, 1)", 2)) == (1, 0)
 
 
 @pytest.mark.parametrize("text,bad", [("(0 1) x(2 3)", "x(2 3)"),

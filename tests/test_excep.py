@@ -170,6 +170,19 @@ def test_quintic_twist_exceptional():
     assert rep.component_definition_lcm > 1
 
 
+def test_quintic_twist_needs_a_nonzero_nonsquare_b():
+    F13 = make_field(13)
+    # the square b = 4 gives a map that is not exceptional, and b = 0
+    # collapses it to x; both are refused, as i = 2 is
+    for b in (0, 4):
+        with pytest.raises(ValueError):
+            quintic_twist_map(F13, 5, b)
+    with pytest.raises(ValueError):
+        quintic_twist_map(F13, 2, 2)
+    f, default = quintic_twist_map(F13, 5, 2), quintic_twist_map(F13)
+    assert (f.num, f.den) == (default.num, default.den)
+
+
 def test_report_factors_reconstruct_fiber_product():
     for f in (monomial_map(make_field(5), 3),
               quintic_pair_map(make_field(17), 10, 3),

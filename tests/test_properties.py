@@ -85,12 +85,12 @@ def upoly_triples(draw):
 def test_perm_products(perms):
     a, b, c = perms
     ab = a * b
-    assert ab.images == _compose(a.images, b.images)
-    assert sorted(ab.images) == list(range(a.deg))
+    assert tuple(ab) == _compose(tuple(a), tuple(b))
+    assert sorted(tuple(ab)) == list(range(len(a)))
     assert (a * b) * c == a * (b * c)
     assert (a * a.inverse()).is_identity()
     assert (a.inverse() * a).is_identity()
-    assert sum(a.cycle_type()) == a.deg
+    assert sum(a.cycle_type()) == len(a)
 
 
 @PROPERTY
